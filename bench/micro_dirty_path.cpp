@@ -4,8 +4,9 @@
 //      RC step (O(local_rows × n)); the sparse path walks only the dirty
 //      list (O(dirty log dirty)). Measured head-to-head on one 50k-column
 //      row at several dirty-set sizes.
-//   2. Wire format: v1 fixed-width DV records vs v2 delta/varint records,
-//      encoded bytes for the same entry sets.
+//   2. Wire format: the retired v1 fixed-width DV records (hand-encoded
+//      below; the library no longer writes or reads them) vs v2
+//      delta/varint records, encoded bytes for the same entry sets.
 //
 // Prints a table and writes AACC_OUT_DIR/micro_dirty_path.json
 // (schema: EXPERIMENTS.md). Knobs: AACC_N (columns, default 50000),
@@ -67,10 +68,11 @@ DvRow make_row(VertexId n, std::size_t k, std::uint64_t seed) {
   return row;
 }
 
-/// The seed's send assembly: full column scan, fixed-width v1 payload.
+/// The seed's send assembly: full column scan, fixed-width v1 payload
+/// (u8 version=1, u32 vid, u32 count, count × (u32 target, u32 dist)).
 std::vector<std::byte> assemble_dense(const DvRow& row) {
   rt::ByteWriter w;
-  w.write(std::uint8_t{rt::kDvRecordV1});
+  w.write(std::uint8_t{1});
   w.write(row.self());
   std::uint32_t count = 0;
   const std::size_t count_pos = w.size();
@@ -88,16 +90,15 @@ std::vector<std::byte> assemble_dense(const DvRow& row) {
 }
 
 /// The sparse send assembly, as exchange() runs it.
-std::vector<std::byte> assemble_sparse(const DvRow& row,
-                                       std::vector<VertexId>& dirty,
-                                       std::vector<std::pair<VertexId, Dist>>& entries,
-                                       std::uint8_t version) {
+std::vector<std::byte> assemble_sparse(
+    const DvRow& row, std::vector<VertexId>& dirty,
+    std::vector<std::pair<VertexId, Dist>>& entries) {
   row.sorted_dirty(dirty);
   entries.clear();
   entries.reserve(dirty.size());
   for (const VertexId t : dirty) entries.emplace_back(t, row.dist(t));
   rt::ByteWriter w;
-  rt::write_dv_record(w, row.self(), entries, version);
+  rt::write_dv_record(w, row.self(), entries);
   return w.take();
 }
 
@@ -132,15 +133,11 @@ int main() {
     Case c;
     c.dirty = k;
     c.dense_ns = time_ns([&] { g_sink += assemble_dense(row).size(); });
-    c.sparse_ns = time_ns([&] {
-      g_sink +=
-          assemble_sparse(row, dirty, entries, rt::kDvRecordV2).size();
-    });
+    c.sparse_ns = time_ns(
+        [&] { g_sink += assemble_sparse(row, dirty, entries).size(); });
     c.speedup = c.dense_ns / c.sparse_ns;
-    c.v1_bytes =
-        assemble_sparse(row, dirty, entries, rt::kDvRecordV1).size();
-    c.v2_bytes =
-        assemble_sparse(row, dirty, entries, rt::kDvRecordV2).size();
+    c.v1_bytes = assemble_dense(row).size();
+    c.v2_bytes = assemble_sparse(row, dirty, entries).size();
     c.bytes_ratio =
         static_cast<double>(c.v2_bytes) / static_cast<double>(c.v1_bytes);
     cases.push_back(c);

@@ -206,6 +206,15 @@ class DvRow {
     reach_.shrink_to_fit();
   }
 
+  /// sorted_dirty() scans the flags instead of sorting the list once the
+  /// list holds at least 1/kDenseDirtyScan of the columns. Measured on
+  /// shuffled lists, the scan overtakes the sort between 1/16 and 1/8 of
+  /// n at 3k columns, near 1/32 at 50k and near 1/64 at 400k, and wins up
+  /// to ~100x on full rows. 16 costs at most ~20% on small rows and keeps
+  /// most of the gain on large ones. Purely a performance knob: both paths
+  /// return the same list.
+  static constexpr std::size_t kDenseDirtyScan = 16;
+
   // Entry flags used by the rank engine.
   static constexpr std::uint8_t kDirty = 1;    ///< changed since last send
   static constexpr std::uint8_t kQueued = 2;   ///< in the relaxation worklist
@@ -262,8 +271,24 @@ class DvRow {
   }
 
   /// Fills `out` with the currently dirty columns in ascending order
-  /// (stale list entries are filtered out). O(dirty log dirty).
+  /// (stale list entries are filtered out). A sparse list is filtered and
+  /// sorted, O(dirty log dirty); a dense one (after IA nearly every finite
+  /// column is dirty) is read off the flags in one ascending scan, O(n).
+  /// Both yield the same list, so the switch cannot change any byte sent.
   void sorted_dirty(std::vector<VertexId>& out) const {
+    if (dirty_.size() * kDenseDirtyScan >= d_.size()) {
+      // Branch-free append: every column is stored, only live ones advance
+      // the cursor. Every live column is tracked in dirty_, so its length
+      // bounds the cursor and one spare slot takes the trailing store.
+      out.resize(dirty_.size() + 1);
+      std::size_t k = 0;
+      for (VertexId t = 0; t < size(); ++t) {
+        out[k] = t;
+        k += flags_[t] & kDirty;
+      }
+      out.resize(k);
+      return;
+    }
     out.clear();
     for (const VertexId t : dirty_) {
       if ((flags_[t] & kDirty) != 0) out.push_back(t);

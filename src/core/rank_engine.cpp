@@ -120,13 +120,12 @@ RankEngine::RankEngine(const Init& init, rt::Comm& comm)
     }
     const auto& owner = lg_.owner_map();
     for (const auto& [portal, adj] : lg_.portals()) {
-      (void)adj;
       if (!dead[static_cast<std::size_t>(owner[portal])]) continue;
-      auto it = caches_.find(portal);
+      const auto it = caches_.find(portal);
       if (it == caches_.end()) continue;
-      const auto& cache = it->second;
-      for (VertexId t = 0; t < static_cast<VertexId>(cache.size()); ++t) {
-        if (cache[t] != kInfDist) apply_portal_value(portal, t, kInfDist);
+      const PortalView pv{portal, it->second, adj};
+      for (VertexId t = 0; t < static_cast<VertexId>(pv.cache.size()); ++t) {
+        if (pv.cache[t] != kInfDist) apply_portal_value(pv, t, kInfDist);
       }
     }
   }
@@ -969,11 +968,15 @@ std::vector<Dist>& RankEngine::cache_of(VertexId portal) {
   return it->second;
 }
 
-void RankEngine::apply_portal_value(VertexId b, VertexId t, Dist d) {
-  std::vector<Dist>& cache = cache_of(b);
-  const Dist cur = cache[t];
+RankEngine::PortalView RankEngine::portal_view(VertexId b) {
+  return {b, cache_of(b), lg_.portal_neighbors(b)};
+}
+
+void RankEngine::apply_portal_value(const PortalView& pv, VertexId t, Dist d) {
+  const VertexId b = pv.b;
+  const Dist cur = pv.cache[t];
   if (d == cur && d != kInfDist) return;
-  cache[t] = d;
+  pv.cache[t] = d;
   if (d > cur || d == kInfDist) {
     // The owner's value increased (a deletion upstream), or this is an
     // explicit poison marker: every local chain through b for this target
@@ -986,7 +989,7 @@ void RankEngine::apply_portal_value(VertexId b, VertexId t, Dist d) {
     poison_cascade(std::move(seeds));
   }
   if (d != kInfDist && lg_.is_alive(t)) {
-    for (const auto& [x, w] : lg_.portal_neighbors(b)) {
+    for (const auto& [x, w] : pv.neighbors) {
       relax(x, t, dist_add(d, w), b);
     }
   }
@@ -1049,17 +1052,16 @@ void RankEngine::exchange() {
 
   // Concatenating each destination's shard buffers in shard-id order yields
   // exactly the bytes a serial ascending-row walk produces, for any shard
-  // count. The outer per-destination vector is member scratch; the inner
-  // buffers necessarily hand their storage to the transport (the payload
-  // crosses threads inside the Message), so only the slots are reused.
-  if (exch_out_.size() < P) exch_out_.resize(P);
-  const auto assemble_payload = [&](std::size_t q) -> std::vector<std::byte>& {
-    std::vector<std::byte>& buf = exch_out_[q];
-    buf.clear();
+  // count. The payload hands its storage to the transport (it crosses
+  // threads inside the Message), so a single shard's buffer is moved out
+  // as is — the concatenation would only copy it.
+  const auto assemble_payload = [&](std::size_t q) -> std::vector<std::byte> {
+    if (shards == 1) return send_shards_[0].writers[q].take();
     std::size_t total = 0;
     for (std::size_t s = 0; s < shards; ++s) {
       total += send_shards_[s].writers[q].size();
     }
+    std::vector<std::byte> buf;
     buf.reserve(total);
     for (std::size_t s = 0; s < shards; ++s) {
       const auto v = send_shards_[s].writers[q].view();
@@ -1079,11 +1081,10 @@ void RankEngine::exchange() {
     // entries re-dirtied by the incoming values are kept. Shard-id order
     // over contiguous blocks = ascending row order, as before.
     auto pending = comm_.all_to_all_begin(1);
-    pending.submit(comm_.rank(), std::move(assemble_payload(me)));
+    pending.submit(comm_.rank(), assemble_payload(me));
     for (Rank s = 1; s < comm_.size(); ++s) {
       const Rank dst = (comm_.rank() + s) % comm_.size();
-      pending.submit(dst,
-                     std::move(assemble_payload(static_cast<std::size_t>(dst))));
+      pending.submit(dst, assemble_payload(static_cast<std::size_t>(dst)));
     }
     // Chaos hook (FaultPlan CrashPhase::kMidExchange): die between the
     // submits and the collective's completion. The dirty flags are still
@@ -1113,11 +1114,10 @@ void RankEngine::exchange() {
   // property: DV entries are monotone upper bounds, so consuming a peer's
   // deltas early or late cannot move the fixed point.
   auto pending = comm_.all_to_all_begin(effective_exchange_window());
-  pending.submit(comm_.rank(), std::move(assemble_payload(me)));
+  pending.submit(comm_.rank(), assemble_payload(me));
   for (Rank s = 1; s < comm_.size(); ++s) {
     const Rank dst = (comm_.rank() + s) % comm_.size();
-    pending.submit(dst,
-                   std::move(assemble_payload(static_cast<std::size_t>(dst))));
+    pending.submit(dst, assemble_payload(static_cast<std::size_t>(dst)));
   }
   // Chaos hook (CrashPhase::kMidExchange), before the retire below so the
   // pending sends are still dirty when the supervisor stashes this state.
@@ -1267,12 +1267,21 @@ void RankEngine::apply_incoming_payload(Rank q,
   while (!rd.done()) {
     rt::DvRecordReader rec(rd);
     const VertexId b = rec.vid();
-    const bool portal = lg_.is_portal(b);
+    if (!lg_.is_portal(b)) {
+      // Stale sender view: skip the entries and drop any leftover cache.
+      for (std::uint32_t i = 0; i < rec.count(); ++i) (void)rec.next();
+      caches_.erase(b);
+      continue;
+    }
+    if (rec.count() == 0) continue;  // never creates an unused cache row
+    // Record-granular apply: b's cache row and neighbour span are resolved
+    // once, not per entry. Applying never adds or removes a portal or a
+    // cache row, so both stay valid across the loop.
+    const PortalView pv = portal_view(b);
     for (std::uint32_t i = 0; i < rec.count(); ++i) {
       const auto [t, d] = rec.next();
-      if (portal) apply_portal_value(b, t, d);
+      apply_portal_value(pv, t, d);
     }
-    if (!portal) caches_.erase(b);  // stale sender view; drop leftovers
   }
 }
 
@@ -1465,8 +1474,9 @@ void RankEngine::eager_edge_relax(const EdgeAddEvent& e) {
   // suppress the relaxation it is meant to trigger — an early bug.)
   const auto absorb = [&](VertexId vtx, const std::vector<Dist>& row) {
     if (!lg_.is_portal(vtx)) return;
+    const PortalView pv = portal_view(vtx);
     for (VertexId t = 0; t < row.size(); ++t) {
-      apply_portal_value(vtx, t, row[t]);
+      apply_portal_value(pv, t, row[t]);
     }
   };
   absorb(e.u, row_u);

@@ -265,7 +265,19 @@ class RankEngine {
 
   // ---- portal cache ----
   std::vector<Dist>& cache_of(VertexId portal);
-  void apply_portal_value(VertexId b, VertexId t, Dist d);
+  /// Portal b as the apply path sees it: its cache row and its local
+  /// neighbours, resolved once per incoming record (or poison/re-seed
+  /// sweep) instead of once per entry.
+  struct PortalView {
+    VertexId b;
+    std::vector<Dist>& cache;
+    std::span<const std::pair<VertexId, Weight>> neighbors;
+  };
+  /// Creates b's cache row on first use; b must be a portal.
+  [[nodiscard]] PortalView portal_view(VertexId b);
+  /// Folds the owner's value d for target t into b's cache: an increase or
+  /// a poison marker cascades, a finite value relaxes b's neighbours.
+  void apply_portal_value(const PortalView& pv, VertexId t, Dist d);
 
   // ---- RC step pieces ----
   void exchange();
@@ -413,9 +425,6 @@ class RankEngine {
   std::vector<VertexId> exch_dirty_cols_;
   std::vector<std::pair<VertexId, Dist>> exch_entries_;
   rt::ByteWriter exch_record_;
-  /// Per-destination payload slots for the collectives (the outer vector is
-  /// the reusable part; inner buffers hand their storage to the transport).
-  std::vector<std::vector<std::byte>> exch_out_;
   /// poison_sync_round() per-destination writers + sent markers.
   std::vector<rt::ByteWriter> sync_writers_;
   std::vector<std::pair<std::size_t, VertexId>> sync_markers_;

@@ -6,6 +6,7 @@
 // can observe another's memory.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -21,6 +22,9 @@
 #include "common/types.hpp"
 
 namespace aacc::rt {
+
+/// Longest LEB128 encoding of a u64: ceil(64 / 7) bytes.
+inline constexpr std::size_t kMaxVarintBytes = 10;
 
 class ByteWriter {
  public:
@@ -40,13 +44,18 @@ class ByteWriter {
 
   /// LEB128 unsigned varint: 7 value bits per byte, high bit = continue.
   /// 1 byte for values < 128, 2 bytes < 16384, at most 5 bytes for u32
-  /// payloads and 10 for the full u64 range.
+  /// payloads and kMaxVarintBytes for the full u64 range. Encoded on the
+  /// stack and appended once: the DV hot path writes two varints per entry,
+  /// and a per-byte append dominated send assembly.
   void write_varint(std::uint64_t v) {
+    std::array<std::byte, kMaxVarintBytes> tmp;
+    std::size_t n = 0;
     while (v >= 0x80) {
-      write(static_cast<std::uint8_t>((v & 0x7f) | 0x80));
+      tmp[n++] = static_cast<std::byte>((v & 0x7f) | 0x80);
       v >>= 7;
     }
-    write(static_cast<std::uint8_t>(v));
+    tmp[n++] = static_cast<std::byte>(v);
+    buf_.insert(buf_.end(), tmp.data(), tmp.data() + n);
   }
 
   template <typename T>
@@ -141,7 +150,7 @@ class ByteReader {
     const auto n = read<std::uint64_t>();
     AACC_CHECK_MSG(pos_ + n * sizeof(T) <= buf_.size(), "message underflow");
     std::vector<T> v(n);
-    std::memcpy(v.data(), buf_.data() + pos_, n * sizeof(T));
+    if (n != 0) std::memcpy(v.data(), buf_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
     return v;
   }
@@ -154,17 +163,26 @@ class ByteReader {
     return s;
   }
 
+  /// Decodes one LEB128 varint. The bounds check happens once per varint,
+  /// not per byte: with at least kMaxVarintBytes left the loop cannot run
+  /// past the buffer, and in the buffer tail it stops at the last byte. A
+  /// varint cut off by the end of the buffer is a "message underflow"; one
+  /// whose first kMaxVarintBytes bytes all carry the continuation bit is a
+  /// "varint overflow", wherever it sits in the buffer.
   std::uint64_t read_varint() {
+    const std::size_t limit = std::min(buf_.size() - pos_, kMaxVarintBytes);
+    const auto* p = reinterpret_cast<const std::uint8_t*>(buf_.data() + pos_);
     std::uint64_t v = 0;
-    unsigned shift = 0;
-    for (;;) {
-      const auto b = read<std::uint8_t>();
-      AACC_CHECK_MSG(shift < 64, "varint overflow");
-      v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-      if ((b & 0x80) == 0) break;
-      shift += 7;
+    for (std::size_t i = 0; i < limit; ++i) {
+      v |= static_cast<std::uint64_t>(p[i] & 0x7f) << (7 * i);
+      if ((p[i] & 0x80) == 0) {
+        pos_ += i + 1;
+        return v;
+      }
     }
-    return v;
+    AACC_CHECK_MSG(limit == kMaxVarintBytes, "message underflow");
+    AACC_CHECK_MSG(false, "varint overflow");
+    return 0;  // unreachable
   }
 
   [[nodiscard]] bool done() const { return pos_ == buf_.size(); }
@@ -243,35 +261,22 @@ inline std::vector<VertexId> read_ascending_ids(ByteReader& r) {
 
 // ---- DV-update records --------------------------------------------------
 //
-// One record carries the changed entries of one row to a subscriber. Every
-// record is self-describing: a leading version byte selects the codec, so
-// a stream may mix versions and old (v1) payloads stay decodable.
+// One record carries the changed entries of one row to a subscriber:
 //
-//   v1:  u8 version, u32 vid, u32 count, count × (u32 target, u32 dist)
-//   v2:  u8 version, varint vid, varint count,
-//        count × (varint target-delta, varint dist-code)
-//        targets strictly ascending; first delta is the target itself,
-//        later deltas are (target - prev - 1); dist-code is the sentinel
-//        mapping above (poison markers ship as 1 byte).
+//   u8 version (= 2), varint vid, varint count,
+//   count × (varint target-delta, varint dist-code)
+//
+// Targets are strictly ascending; the first delta is the target itself,
+// later deltas are (target - prev - 1); dist-code is the sentinel mapping
+// above (poison markers ship as 1 byte). The version byte stays so a future
+// codec can be told apart; any other value is rejected.
 
-inline constexpr std::uint8_t kDvRecordV1 = 1;
 inline constexpr std::uint8_t kDvRecordV2 = 2;
 
 /// Entries must be sorted by target id (ascending, unique).
 inline void write_dv_record(ByteWriter& w, VertexId vid,
-                            const std::vector<std::pair<VertexId, Dist>>& entries,
-                            std::uint8_t version = kDvRecordV2) {
-  w.write(version);
-  if (version == kDvRecordV1) {
-    w.write(vid);
-    w.write(static_cast<std::uint32_t>(entries.size()));
-    for (const auto& [t, d] : entries) {
-      w.write(t);
-      w.write(d);
-    }
-    return;
-  }
-  AACC_CHECK_MSG(version == kDvRecordV2, "unknown DV record version");
+                            const std::vector<std::pair<VertexId, Dist>>& entries) {
+  w.write(kDvRecordV2);
   w.write_varint(vid);
   w.write_varint(entries.size());
   VertexId prev = 0;
@@ -289,17 +294,12 @@ inline void write_dv_record(ByteWriter& w, VertexId vid,
 }
 
 /// Streaming decoder for one record: construct, read vid()/count(), then
-/// call next() exactly count() times. Dispatches on the version byte.
+/// call next() exactly count() times.
 class DvRecordReader {
  public:
   explicit DvRecordReader(ByteReader& r) : r_(r) {
-    version_ = r_.read<std::uint8_t>();
-    if (version_ == kDvRecordV1) {
-      vid_ = r_.read<VertexId>();
-      count_ = r_.read<std::uint32_t>();
-      return;
-    }
-    AACC_CHECK_MSG(version_ == kDvRecordV2, "unknown DV record version");
+    AACC_CHECK_MSG(r_.read<std::uint8_t>() == kDvRecordV2,
+                   "unknown DV record version");
     vid_ = static_cast<VertexId>(r_.read_varint());
     count_ = static_cast<std::uint32_t>(r_.read_varint());
   }
@@ -309,12 +309,6 @@ class DvRecordReader {
 
   std::pair<VertexId, Dist> next() {
     AACC_DCHECK(read_ < count_);
-    if (version_ == kDvRecordV1) {
-      const auto t = r_.read<VertexId>();
-      const auto d = r_.read<Dist>();
-      ++read_;
-      return {t, d};
-    }
     const auto delta = static_cast<VertexId>(r_.read_varint());
     prev_ = (read_ == 0) ? delta : prev_ + delta + 1;
     ++read_;
@@ -323,7 +317,6 @@ class DvRecordReader {
 
  private:
   ByteReader& r_;
-  std::uint8_t version_ = 0;
   VertexId vid_ = 0;
   std::uint32_t count_ = 0;
   std::uint32_t read_ = 0;

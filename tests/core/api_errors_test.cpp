@@ -119,6 +119,17 @@ TEST(ConfigValidate, RecoveryLadderMustHaveARung) {
             std::string::npos);
 }
 
+TEST(ConfigValidate, DefaultRecoveryLadderIsRollbackThenDegrade) {
+  // docs/FAULTS.md §Recovery policy ladder documents this default; adoption
+  // is opt-in.
+  const EngineConfig cfg{};
+  ASSERT_EQ(cfg.recovery_policy.size(), 2u);
+  EXPECT_EQ(cfg.recovery_policy[0].policy, RecoveryPolicy::kRollback);
+  EXPECT_EQ(cfg.recovery_policy[0].budget, 0u);
+  EXPECT_EQ(cfg.recovery_policy[1].policy, RecoveryPolicy::kDegrade);
+  EXPECT_EQ(cfg.recovery_policy[1].budget, 0u);
+}
+
 TEST(ConfigValidate, RecoveryLadderRejectsRepeatedPolicies) {
   EngineConfig cfg;
   cfg.recovery_policy = {{RecoveryPolicy::kRollback, 0},

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <random>
+#include <vector>
 
 #include "core/dv_matrix.hpp"
 
@@ -95,6 +97,49 @@ TEST(DvRow, SortedDirtyMatchesFlagScan) {
   row.sorted_dirty(dirty);
   EXPECT_EQ(dirty, (std::vector<VertexId>{3, 5, 7}));
   EXPECT_EQ(row.dirty_count(), 3u);
+}
+
+/// A row of n columns whose dirty list holds exactly `listed` ids: every
+/// third id of those is cleared again, so the list carries stale entries.
+/// Returns the live set a brute-force flag scan sees.
+std::vector<VertexId> mark_with_stale(DvRow& row, std::size_t listed,
+                                      std::mt19937& rng) {
+  std::vector<VertexId> cols(row.size());
+  for (VertexId t = 0; t < row.size(); ++t) cols[t] = t;
+  std::shuffle(cols.begin(), cols.end(), rng);
+  cols.resize(listed);
+  for (const VertexId t : cols) EXPECT_TRUE(row.mark_dirty(t));
+  for (std::size_t i = 0; i < cols.size(); i += 3) {
+    EXPECT_TRUE(row.clear_dirty(cols[i]));
+  }
+  std::vector<VertexId> live;
+  for (VertexId t = 0; t < row.size(); ++t) {
+    if (row.test_flag(t, DvRow::kDirty)) live.push_back(t);
+  }
+  return live;
+}
+
+TEST(DvRow, SortedDirtyAgreesAcrossTheDenseScanThreshold) {
+  // sorted_dirty() sorts a list shorter than n / kDenseDirtyScan and scans
+  // the flags from that length on. Lists one below and at the threshold,
+  // with stale ids (cleared bits still listed; clear_dirty never compacts),
+  // must give the same strictly ascending live set on either path.
+  std::mt19937 rng(1212);
+  for (const VertexId n : {1600u, 4000u, 16u * 97u + 5u}) {
+    const std::size_t threshold =
+        (n + DvRow::kDenseDirtyScan - 1) / DvRow::kDenseDirtyScan;
+    for (const std::size_t listed :
+         {threshold - 1, threshold, threshold + 1, std::size_t{n}}) {
+      DvRow row(0, n);
+      const std::vector<VertexId> want = mark_with_stale(row, listed, rng);
+      std::vector<VertexId> got{42, 43};  // stale scratch contents
+      row.sorted_dirty(got);
+      EXPECT_EQ(got, want) << "n=" << n << " listed=" << listed;
+      EXPECT_TRUE(std::adjacent_find(got.begin(), got.end(),
+                                     std::greater_equal<>()) == got.end());
+      EXPECT_EQ(got.size(), row.dirty_count());
+    }
+  }
 }
 
 TEST(DvRow, ClearAllDirtyReturnsCount) {

@@ -187,6 +187,45 @@ TEST(TieredLru, ColdRowsAnswerMetadataWithoutPromotion) {
   EXPECT_EQ(store.promotions(), 0u);
 }
 
+TEST(TieredLru, CollectDirtyEntriesAgreesHotAndCold) {
+  // Hot rows answer from DvRow::sorted_dirty (sorting a sparse list or
+  // scanning the flags of a dense one); cold rows merge their compressed
+  // dirty list. Both must list the same entries, poison markers included.
+  Rng rng(23);
+  const VertexId n = 900;
+  for (const double p_dirty : {0.01, 0.3, 1.0}) {
+    DvRow row(5, n);
+    for (VertexId t = 0; t < n; ++t) {
+      if (t == 5) continue;
+      if (rng.next_bool(0.8)) {
+        row.set(t, static_cast<Dist>(1 + rng.next_below(50)), 5);
+      }
+      if (rng.next_bool(p_dirty)) row.mark_dirty(t);  // infinite ⇒ poison
+    }
+    for (VertexId t = 0; t < n; t += 7) (void)row.clear_dirty(t);  // stale
+
+    TieredDvStore store(kMinDvBudgetBytes);
+    store.grow_columns(n);
+    store.append(DvRow(row));
+    std::vector<VertexId> cols;
+    std::vector<std::pair<VertexId, Dist>> hot;
+    store.collect_dirty_entries(0, cols, hot);
+    ASSERT_TRUE(store.is_hot(0));
+    store.maintain(std::vector<std::uint8_t>(1, 0));
+    ASSERT_FALSE(store.is_hot(0));
+    std::vector<std::pair<VertexId, Dist>> cold;
+    store.collect_dirty_entries(0, cols, cold);
+
+    EXPECT_EQ(hot, cold) << "p_dirty=" << p_dirty;
+    ASSERT_EQ(hot.size(), row.dirty_count());
+    for (std::size_t i = 0; i < hot.size(); ++i) {
+      EXPECT_TRUE(row.test_flag(hot[i].first, DvRow::kDirty));
+      EXPECT_EQ(hot[i].second, row.dist(hot[i].first));
+      if (i > 0) EXPECT_LT(hot[i - 1].first, hot[i].first);
+    }
+  }
+}
+
 TEST(TieredLru, DirtyOpsWorkInPlaceOnColdRows) {
   Rng rng(17);
   // One row bigger than the whole budget, so maintain() must demote it.

@@ -1,6 +1,10 @@
 // ByteWriter/ByteReader: round trips and underflow detection.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "runtime/serialize.hpp"
 
 namespace aacc::rt {
@@ -177,42 +181,158 @@ TEST(DvRecord, V2RoundTrip) {
   EXPECT_TRUE(r.done());
 }
 
-TEST(DvRecord, V1BlobDecodesUnderV2Reader) {
-  const std::vector<std::pair<VertexId, Dist>> entries{
-      {5, 2}, {6, kInfDist}, {1000, 44}};
-  ByteWriter w;
-  write_dv_record(w, 7, entries, kDvRecordV1);
-  write_dv_record(w, 8, entries, kDvRecordV2);  // mixed-version stream
-  const auto buf = w.take();
-  ByteReader r(buf);
-  DvRecordReader v1(r);
-  EXPECT_EQ(v1.vid(), 7u);
-  ASSERT_EQ(v1.count(), entries.size());
-  for (const auto& e : entries) EXPECT_EQ(v1.next(), e);
-  DvRecordReader v2(r);
-  EXPECT_EQ(v2.vid(), 8u);
-  ASSERT_EQ(v2.count(), entries.size());
-  for (const auto& e : entries) EXPECT_EQ(v2.next(), e);
-  EXPECT_TRUE(r.done());
-}
-
-TEST(DvRecord, V2IsSmallerThanV1) {
-  std::vector<std::pair<VertexId, Dist>> entries;
-  for (VertexId t = 0; t < 256; ++t) entries.emplace_back(t * 3, t % 30);
-  ByteWriter w1;
-  write_dv_record(w1, 9, entries, kDvRecordV1);
-  ByteWriter w2;
-  write_dv_record(w2, 9, entries, kDvRecordV2);
-  // v1: 9 + 8 per entry. v2 here: header + 2 bytes per entry.
-  EXPECT_LT(w2.size() * 2, w1.size());
-}
-
 TEST(DvRecord, UnknownVersionRejected) {
   ByteWriter w;
   w.write(std::uint8_t{9});
   const auto buf = w.take();
   ByteReader r(buf);
   EXPECT_THROW(DvRecordReader rec(r), std::logic_error);
+  // The retired fixed-width v1 layout is no longer decoded either.
+  ByteWriter w1;
+  w1.write(std::uint8_t{1});
+  w1.write(VertexId{7});
+  w1.write(std::uint32_t{1});
+  w1.write(VertexId{5});
+  w1.write(Dist{2});
+  const auto buf1 = w1.take();
+  ByteReader r1(buf1);
+  EXPECT_THROW(DvRecordReader rec(r1), std::logic_error);
+}
+
+// ---- varint codec: golden bytes and hostile input ------------------------
+
+std::vector<std::uint8_t> bytes_of(const ByteWriter& w) {
+  std::vector<std::uint8_t> out;
+  for (const std::byte b : w.view()) {
+    out.push_back(std::to_integer<std::uint8_t>(b));
+  }
+  return out;
+}
+
+std::vector<std::byte> to_buffer(const std::vector<std::uint8_t>& raw) {
+  std::vector<std::byte> out;
+  for (const std::uint8_t b : raw) out.push_back(std::byte{b});
+  return out;
+}
+
+/// Expects `fn` to throw std::logic_error whose message names `what`.
+template <typename Fn>
+void expect_check_failure(Fn&& fn, const std::string& what) {
+  try {
+    fn();
+    ADD_FAILURE() << "expected a failure naming '" << what << "'";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  }
+}
+
+const std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>>&
+varint_goldens() {
+  static const std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>>
+      goldens{
+          {0, {0x00}},
+          {127, {0x7f}},
+          {128, {0x80, 0x01}},
+          {16383, {0xff, 0x7f}},
+          {0xFFFFFFFFULL, {0xff, 0xff, 0xff, 0xff, 0x0f}},
+          {~0ULL, {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}},
+      };
+  return goldens;
+}
+
+TEST(Varint, GoldenBytes) {
+  for (const auto& [v, want] : varint_goldens()) {
+    ByteWriter w;
+    w.write_varint(v);
+    EXPECT_EQ(bytes_of(w), want) << v;
+  }
+}
+
+TEST(Varint, RoundTripAcrossTheFastPathBoundary) {
+  // Decode each value with exactly 9, 10 and 11 bytes left in the buffer
+  // (padding after the varint), so both the bounded-tail decode and the
+  // at-least-kMaxVarintBytes decode run, and the switch between them.
+  for (const std::size_t left : {kMaxVarintBytes - 1, kMaxVarintBytes,
+                                 kMaxVarintBytes + 1}) {
+    for (const auto& [v, golden] : varint_goldens()) {
+      if (golden.size() > left) continue;
+      ByteWriter w;
+      w.write(std::uint8_t{0xAA});  // consumed first: decode starts mid-buffer
+      w.write_varint(v);
+      for (std::size_t i = golden.size(); i < left; ++i) {
+        w.write(std::uint8_t{0x80});
+      }
+      const auto buf = w.take();
+      ByteReader r(buf);
+      EXPECT_EQ(r.read<std::uint8_t>(), 0xAA);
+      ASSERT_EQ(r.remaining(), left);
+      EXPECT_EQ(r.read_varint(), v) << v << " with " << left << " bytes left";
+      EXPECT_EQ(r.remaining(), left - golden.size());
+    }
+  }
+}
+
+TEST(Varint, TruncatedVarintIsAnUnderflow) {
+  // 1..9 continuation bytes and then the end of the buffer, behind bytes
+  // that were already consumed.
+  for (std::size_t k = 1; k < kMaxVarintBytes; ++k) {
+    std::vector<std::uint8_t> raw(12, 0x01);
+    raw.insert(raw.end(), k, 0x80);
+    const auto buf = to_buffer(raw);
+    ByteReader r(buf);
+    for (int i = 0; i < 12; ++i) EXPECT_EQ(r.read_varint(), 1u);
+    expect_check_failure([&] { (void)r.read_varint(); }, "message underflow");
+  }
+  const std::vector<std::byte> empty;
+  ByteReader r(empty);
+  expect_check_failure([&] { (void)r.read_varint(); }, "message underflow");
+}
+
+TEST(Varint, TenContinuationBytesAreAnOverflow) {
+  // The same error whether the runaway varint ends the buffer or is
+  // followed by more bytes, and whatever the value bits.
+  for (const std::uint8_t cont : {std::uint8_t{0x80}, std::uint8_t{0xff}}) {
+    for (std::size_t extra = 0; extra <= 3; ++extra) {
+      std::vector<std::uint8_t> raw(kMaxVarintBytes, cont);
+      raw.insert(raw.end(), extra, 0x01);
+      const auto buf = to_buffer(raw);
+      ByteReader r(buf);
+      expect_check_failure([&] { (void)r.read_varint(); }, "varint overflow");
+    }
+  }
+}
+
+TEST(DvRecord, GoldenBytes) {
+  ByteWriter w;
+  write_dv_record(w, 300, {{2, 1}, {3, 7}, {9, kInfDist}, {70000, 130}});
+  // version, vid 300, count 4, then (target delta, dist code) pairs:
+  // (2, 2) (0, 8) (5, 0 = poison) (69990, 131).
+  const std::vector<std::uint8_t> want{0x02, 0xac, 0x02, 0x04, 0x02,
+                                       0x02, 0x00, 0x08, 0x05, 0x00,
+                                       0xe6, 0xa2, 0x04, 0x83, 0x01};
+  EXPECT_EQ(bytes_of(w), want);
+}
+
+TEST(DvRecord, TruncatedRecordThrows) {
+  // Every proper prefix of a record must fail with a typed error while
+  // decoding, never read past the buffer (the sanitizer build checks it).
+  std::vector<std::pair<VertexId, Dist>> entries;
+  for (VertexId t = 0; t < 40; ++t) entries.emplace_back(t * 977, t * 31 + 5);
+  ByteWriter w;
+  write_dv_record(w, 123456, entries);
+  const auto full = w.take();
+  for (std::size_t len = 0; len < full.size(); ++len) {
+    const std::vector<std::byte> cut(
+        full.begin(), full.begin() + static_cast<std::ptrdiff_t>(len));
+    ByteReader r(cut);
+    EXPECT_THROW(
+        {
+          DvRecordReader rec(r);
+          for (std::uint32_t i = 0; i < rec.count(); ++i) (void)rec.next();
+        },
+        std::logic_error)
+        << "prefix of " << len << " bytes";
+  }
 }
 
 TEST(DvRecord, EmptyRecordRoundTrip) {
