@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -66,12 +67,36 @@ struct Checkpoint {
   }
 };
 
-/// Checkpoint blob header (wire format v2). Legacy v1 blobs have no header:
-/// they open directly with the owner-map length, so restore dispatches on
-/// the magic bytes. See docs/PROTOCOL.md §"Wire format v2".
+/// Checkpoint blob header (wire format v2): magic 0xAA 0xCC, then the
+/// version byte. See docs/PROTOCOL.md §"Wire format v2".
 inline constexpr std::uint8_t kCkptMagic0 = 0xAA;
 inline constexpr std::uint8_t kCkptMagic1 = 0xCC;
 inline constexpr std::uint8_t kCkptVersion2 = 2;
+
+/// Checks one rank blob's magic/version header and returns the body after
+/// it. Throws CheckpointError whose message opens with `who` (e.g.
+/// "rank 3"): for an empty blob, one without the magic, one cut inside the
+/// header, and one from an unknown (future) version.
+inline std::span<const std::byte> checkpoint_body(
+    std::span<const std::byte> blob, const std::string& who) {
+  if (blob.empty()) throw CheckpointError(who + " checkpoint blob is empty");
+  const std::uint8_t magic[] = {kCkptMagic0, kCkptMagic1};
+  for (std::size_t i = 0; i < 2 && i < blob.size(); ++i) {
+    if (std::to_integer<std::uint8_t>(blob[i]) != magic[i]) {
+      throw CheckpointError(who +
+                            " checkpoint blob lacks the 0xAA 0xCC magic");
+    }
+  }
+  if (blob.size() < 3) {
+    throw CheckpointError(who + " checkpoint blob truncated inside the header");
+  }
+  const auto version = std::to_integer<std::uint8_t>(blob[2]);
+  if (version != kCkptVersion2) {
+    throw CheckpointError(who + " checkpoint blob has unknown version " +
+                          std::to_string(version));
+  }
+  return blob.subspan(3);
+}
 
 /// Structural validation before any blob is parsed: shape, world size, and
 /// each blob's magic/version header. Deep truncation inside a blob is caught
@@ -93,28 +118,7 @@ inline void validate_checkpoint(const Checkpoint& ck, Rank world_size) {
                           std::to_string(world_size) + ")");
   }
   for (std::size_t r = 0; r < ck.rank_blobs.size(); ++r) {
-    const auto& blob = ck.rank_blobs[r];
-    if (blob.empty()) {
-      throw CheckpointError("rank " + std::to_string(r) +
-                            " checkpoint blob is empty");
-    }
-    // v2 blobs declare themselves with a magic+version header; anything
-    // with the magic but an unknown version is from a future format.
-    // Headerless blobs are legacy v1 and validated structurally on restore.
-    if (blob.size() >= 2 &&
-        std::to_integer<std::uint8_t>(blob[0]) == kCkptMagic0 &&
-        std::to_integer<std::uint8_t>(blob[1]) == kCkptMagic1) {
-      if (blob.size() < 3) {
-        throw CheckpointError("rank " + std::to_string(r) +
-                              " checkpoint blob truncated inside the header");
-      }
-      const auto version = std::to_integer<std::uint8_t>(blob[2]);
-      if (version != kCkptVersion2) {
-        throw CheckpointError("rank " + std::to_string(r) +
-                              " checkpoint blob has unknown version " +
-                              std::to_string(version));
-      }
-    }
+    (void)checkpoint_body(ck.rank_blobs[r], "rank " + std::to_string(r));
   }
 }
 
@@ -181,35 +185,15 @@ class PeriodicCheckpoints {
 };
 
 /// Structural validation of a single rank blob about to be adopted into a
-/// *smaller* surviving world: non-empty and, when v2-framed, a well-formed
-/// header with a known version. The whole-world validate_checkpoint cannot
-/// be used here — adoption deliberately restores one rank's shard into a
-/// world that no longer matches the blob's num_ranks. Deep truncation is
-/// caught by the bounds-checked reader during shard extraction. Throws
-/// CheckpointError.
+/// *smaller* surviving world: a well-formed v2 header. The whole-world
+/// validate_checkpoint cannot be used here — adoption deliberately restores
+/// one rank's shard into a world that no longer matches the blob's
+/// num_ranks. Deep truncation is caught by the bounds-checked reader during
+/// shard extraction. Throws CheckpointError.
 inline void validate_shard_blob(const std::vector<std::byte>& blob,
                                 Rank source_rank) {
-  if (blob.empty()) {
-    throw CheckpointError("adoption source rank " +
-                          std::to_string(source_rank) +
-                          " checkpoint blob is empty");
-  }
-  if (blob.size() >= 2 &&
-      std::to_integer<std::uint8_t>(blob[0]) == kCkptMagic0 &&
-      std::to_integer<std::uint8_t>(blob[1]) == kCkptMagic1) {
-    if (blob.size() < 3) {
-      throw CheckpointError("adoption source rank " +
-                            std::to_string(source_rank) +
-                            " checkpoint blob truncated inside the header");
-    }
-    const auto version = std::to_integer<std::uint8_t>(blob[2]);
-    if (version != kCkptVersion2) {
-      throw CheckpointError("adoption source rank " +
-                            std::to_string(source_rank) +
-                            " checkpoint blob has unknown version " +
-                            std::to_string(version));
-    }
-  }
+  (void)checkpoint_body(blob,
+                        "adoption source rank " + std::to_string(source_rank));
 }
 
 }  // namespace aacc

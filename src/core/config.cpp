@@ -1,5 +1,6 @@
 #include "core/config.hpp"
 
+#include <cmath>
 #include <sstream>
 
 namespace aacc {
@@ -35,22 +36,6 @@ void EngineConfig::validate() const {
        << " — was a negative value cast to size_t?";
     fail(os.str());
   }
-  if (exchange_window > kMaxThreads) {
-    std::ostringstream os;
-    os << "EngineConfig::exchange_window must be at most " << kMaxThreads
-       << " (0 = auto), got " << exchange_window
-       << " — was a negative value cast to size_t?";
-    fail(os.str());
-  }
-  if (exchange_mode == ExchangeMode::kDeterministic && exchange_window > 1) {
-    std::ostringstream os;
-    os << "EngineConfig::exchange_window must be 0 or 1 under "
-          "ExchangeMode::kDeterministic (the oracle schedule is the blocking "
-          "window-1 exchange; a deeper window reorders arrival processing), "
-          "got "
-       << exchange_window;
-    fail(os.str());
-  }
   if (dv_budget_bytes != 0 && dv_budget_bytes < kMinDvBudgetBytes) {
     std::ostringstream os;
     os << "EngineConfig::dv_budget_bytes must be 0 (fully resident) or >= "
@@ -59,10 +44,11 @@ void EngineConfig::validate() const {
        << dv_budget_bytes;
     fail(os.str());
   }
-  if (rebalance_threshold != 0.0 && rebalance_threshold < 1.0) {
+  if (!std::isfinite(rebalance_threshold) ||
+      (rebalance_threshold != 0.0 && rebalance_threshold < 1.0)) {
     std::ostringstream os;
-    os << "EngineConfig::rebalance_threshold must be 0 (off) or >= 1.0 "
-          "(max/ideal load never drops below 1), got "
+    os << "EngineConfig::rebalance_threshold must be finite and 0 (off) or "
+          ">= 1.0 (max/ideal load never drops below 1), got "
        << rebalance_threshold;
     fail(os.str());
   }
@@ -88,10 +74,10 @@ void EngineConfig::validate() const {
   const char* prob_names[] = {"drop", "duplicate", "delay", "corrupt"};
   double sum = 0.0;
   for (std::size_t i = 0; i < 4; ++i) {
-    if (probs[i] < 0.0 || probs[i] > 1.0) {
+    if (!std::isfinite(probs[i]) || probs[i] < 0.0 || probs[i] > 1.0) {
       std::ostringstream os;
       os << "EngineConfig::faults." << prob_names[i]
-         << " must be a probability in [0, 1], got " << probs[i];
+         << " must be a finite probability in [0, 1], got " << probs[i];
       fail(os.str());
     }
     sum += probs[i];

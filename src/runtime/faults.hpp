@@ -114,9 +114,9 @@ struct TransportConfig {
 // ---------------------------------------------------------- health model
 
 /// Peer-health deadlines for the supervision layer (docs/FAULTS.md
-/// §Health supervision). While a rank blocks waiting for a peer's frame
-/// (directly or through `PendingAllToAll::try_recv_any`), the elapsed wait
-/// is attributed to the awaited peer(s) and escalates their observed state
+/// §Health supervision). While a rank blocks waiting for a named peer's
+/// frame (directly or through a collective's recv), the elapsed wait is
+/// attributed to the awaited peer and escalates its observed state
 /// straggler -> suspect -> dead. Crossing `dead_after` *declares* the peer
 /// dead: the waiter marks it failed and raises PeerFailedError immediately
 /// instead of burning the full recv_timeout on a TimeoutError. Disabled by
@@ -167,10 +167,10 @@ enum class CrashPhase : std::uint8_t {
   /// At the top of the step, before the first collective — every survivor
   /// then parks in that step's exchange with an identical cursor.
   kStepStart,
-  /// Between `submit` and `wait_all` of the exchange's PendingAllToAll:
-  /// some of the dying rank's payloads are already delivered, some of its
-  /// peers' arrivals already applied. Exercises the pipelined/async
-  /// windows' partial-delivery recovery paths.
+  /// Between the last `submit` and `wait_all` of the exchange's
+  /// PendingAllToAll: some of the dying rank's payloads are already
+  /// delivered and some of its peers' arrivals already buffered, but no
+  /// arrival is applied and no dirty flag retired yet.
   kMidExchange,
 };
 

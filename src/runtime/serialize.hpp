@@ -221,8 +221,12 @@ inline void write_packed_u32s(ByteWriter& w, const std::vector<std::uint32_t>& v
   w.write_varint(v.size());
   for (const std::uint32_t x : v) w.write_varint(encode_u32_sentinel(x));
 }
+/// Every varint takes at least one byte, so a count above the bytes left is
+/// rejected before anything is reserved (a hostile count must not turn into
+/// an allocation failure).
 inline std::vector<std::uint32_t> read_packed_u32s(ByteReader& r) {
   const auto n = r.read_varint();
+  AACC_CHECK_MSG(n <= r.remaining(), "message underflow");
   std::vector<std::uint32_t> v;
   v.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -248,6 +252,7 @@ inline void write_ascending_ids(ByteWriter& w, const std::vector<VertexId>& ids)
 }
 inline std::vector<VertexId> read_ascending_ids(ByteReader& r) {
   const auto n = r.read_varint();
+  AACC_CHECK_MSG(n <= r.remaining(), "message underflow");  // >= 1 byte each
   std::vector<VertexId> ids;
   ids.reserve(n);
   VertexId prev = 0;

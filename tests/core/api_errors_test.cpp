@@ -3,6 +3,7 @@
 // docs/API.md.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -63,6 +64,18 @@ TEST(ConfigValidate, RebalanceThreshold) {
   EXPECT_NO_THROW(cfg.validate());
 }
 
+TEST(ConfigValidate, RebalanceThresholdMustBeFinite) {
+  // NaN fails every ordered comparison, so a range check alone would let
+  // it through and silently disable rebalancing.
+  EngineConfig cfg;
+  cfg.rebalance_threshold = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(config_error_message(cfg).find("rebalance_threshold"),
+            std::string::npos);
+  cfg.rebalance_threshold = std::numeric_limits<double>::infinity();
+  EXPECT_NE(config_error_message(cfg).find("rebalance_threshold"),
+            std::string::npos);
+}
+
 TEST(ConfigValidate, DvBudgetFloor) {
   EngineConfig cfg;
   cfg.dv_budget_bytes = kMinDvBudgetBytes - 1;  // cannot hold one hot row
@@ -92,6 +105,24 @@ TEST(ConfigValidate, FaultProbabilities) {
   cfg.faults.drop = 0.6;
   cfg.faults.corrupt = 0.6;  // each valid, sum > 1
   EXPECT_NE(config_error_message(cfg).find("sum"), std::string::npos);
+}
+
+TEST(ConfigValidate, FaultProbabilitiesMustBeFinite) {
+  // A NaN probability would pass a plain [0, 1] range check and silently
+  // disable its fault; every field must reject it by name.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const char* field : {"drop", "duplicate", "delay", "corrupt"}) {
+    EngineConfig cfg;
+    const std::string name = field;
+    double& p = name == "drop"        ? cfg.faults.drop
+                : name == "duplicate" ? cfg.faults.duplicate
+                : name == "delay"     ? cfg.faults.delay
+                                      : cfg.faults.corrupt;
+    p = nan;
+    const std::string msg = config_error_message(cfg);
+    EXPECT_NE(msg.find("faults." + name), std::string::npos)
+        << field << ": " << msg;
+  }
 }
 
 TEST(ConfigValidate, CrashPointRankRange) {

@@ -3,6 +3,9 @@
 // an uninterrupted run.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <span>
+
 #include "runtime/serialize.hpp"
 #include "test_util.hpp"
 
@@ -131,71 +134,6 @@ TEST(Checkpoint, ResumedResultMatchesUninterruptedRun) {
   }
 }
 
-// Transcodes a wire-v2 rank blob into the legacy v1 layout (headerless,
-// fixed-width vectors) — the format the seed engine wrote to disk.
-std::vector<std::byte> transcode_blob_to_v1(
-    const std::vector<std::byte>& blob) {
-  // v2 header: magic 0xAA 0xCC + version byte.
-  EXPECT_GE(blob.size(), 3u);
-  EXPECT_EQ(std::to_integer<std::uint8_t>(blob[0]), 0xAAu);
-  EXPECT_EQ(std::to_integer<std::uint8_t>(blob[1]), 0xCCu);
-  rt::ByteReader r(std::span<const std::byte>(blob).subspan(3));
-  rt::ByteWriter w;
-
-  w.write_vec(r.read_vec<Rank>());  // owner map: raw in both versions
-  const auto edge_count = r.read<std::uint64_t>();
-  w.write(edge_count);
-  for (std::uint64_t i = 0; i < edge_count * 3; ++i) {
-    w.write(r.read<std::uint32_t>());  // u, v, weight triples
-  }
-  const auto row_count = r.read<std::uint64_t>();
-  w.write(row_count);
-  for (std::uint64_t i = 0; i < row_count; ++i) {
-    w.write(r.read<VertexId>());
-    w.write_vec(rt::read_packed_u32s(r));  // dists
-    w.write_vec(rt::read_packed_u32s(r));  // next hops
-    w.write_vec(rt::read_ascending_ids(r));
-  }
-  const auto cache_count = r.read<std::uint64_t>();
-  w.write(cache_count);
-  for (std::uint64_t i = 0; i < cache_count; ++i) {
-    w.write(r.read<VertexId>());
-    w.write_vec(rt::read_packed_u32s(r));
-  }
-  w.write(r.read<std::uint64_t>());  // vertices_added
-  EXPECT_TRUE(r.done());
-  return w.take();
-}
-
-TEST(Checkpoint, LegacyV1BlobsStillRestore) {
-  // Backward compatibility: a checkpoint written by the pre-v2 engine
-  // (headerless blobs, fixed-width vectors) must resume and converge
-  // exactly. We synthesize such a checkpoint by transcoding a v2 one.
-  const Graph g = make_er(150, 450, 21, WeightRange{1, 4});
-  EngineConfig cfg = base_cfg(5);
-  cfg.checkpoint_at_step = 1;
-
-  AnytimeEngine first(g, cfg);
-  const RunResult interim = first.run();
-  ASSERT_TRUE(interim.checkpoint.valid());
-
-  Checkpoint legacy = interim.checkpoint;
-  for (auto& blob : legacy.rank_blobs) blob = transcode_blob_to_v1(blob);
-  // The transcoded blob must not accidentally look like a v2 header.
-  ASSERT_NE(std::to_integer<std::uint8_t>(legacy.rank_blobs[0][0]), 0xAAu);
-
-  AnytimeEngine from_v2(g, interim.checkpoint, cfg);
-  const RunResult v2_result = from_v2.run();
-  AnytimeEngine from_v1(g, legacy, cfg);
-  const RunResult v1_result = from_v1.run();
-
-  expect_apsp_exact(g, v1_result);
-  ASSERT_EQ(v1_result.apsp.size(), v2_result.apsp.size());
-  for (VertexId u = 0; u < v1_result.apsp.size(); ++u) {
-    EXPECT_EQ(v1_result.apsp[u], v2_result.apsp[u]) << "row " << u;
-  }
-}
-
 TEST(Checkpoint, WorldSizeMismatchRejected) {
   const Graph g = make_ba(80, 2, 13);
   EngineConfig cfg = base_cfg(4);
@@ -209,12 +147,16 @@ TEST(Checkpoint, WorldSizeMismatchRejected) {
 
 // ----------------------------------- restore validation (typed errors)
 
-/// A structurally plausible checkpoint for pure validation tests.
+/// A structurally plausible checkpoint for pure validation tests: every
+/// blob opens with the v2 header.
 Checkpoint tiny_checkpoint(Rank ranks) {
+  std::vector<std::byte> blob(8, std::byte{0x01});
+  blob[0] = std::byte{kCkptMagic0};
+  blob[1] = std::byte{kCkptMagic1};
+  blob[2] = std::byte{kCkptVersion2};
   Checkpoint ck;
   ck.num_ranks = ranks;
-  ck.rank_blobs.assign(static_cast<std::size_t>(ranks),
-                       std::vector<std::byte>(8, std::byte{0x01}));
+  ck.rank_blobs.assign(static_cast<std::size_t>(ranks), blob);
   return ck;
 }
 
@@ -243,6 +185,19 @@ TEST(CheckpointValidation, RejectsUnknownVersionAndTruncatedHeader) {
   Checkpoint cut = tiny_checkpoint(2);
   cut.rank_blobs[0] = {std::byte{kCkptMagic0}, std::byte{kCkptMagic1}};
   EXPECT_THROW(validate_checkpoint(cut, 2), CheckpointError);
+
+  // No magic at all: headerless blobs are not a supported format.
+  Checkpoint bare = tiny_checkpoint(2);
+  bare.rank_blobs[1] = std::vector<std::byte>(8, std::byte{0x01});
+  try {
+    validate_checkpoint(bare, 2);
+    FAIL() << "a blob without the magic must be rejected";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("rank 1"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("magic"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(CheckpointValidation, TruncatedBlobFailsRestoreWithRankContext) {
@@ -263,6 +218,36 @@ TEST(CheckpointValidation, TruncatedBlobFailsRestoreWithRankContext) {
     FAIL() << "truncated blob must not restore";
   } catch (const CheckpointError& e) {
     EXPECT_NE(std::string(e.what()).find("rank 2"), std::string::npos)
+        << "error should carry rank context: " << e.what();
+  }
+}
+
+TEST(CheckpointValidation, HostileEdgeCountFailsRestoreTyped) {
+  const Graph g = make_ba(80, 2, 17);
+  EngineConfig cfg = base_cfg(3);
+  cfg.checkpoint_at_step = 1;
+  AnytimeEngine first(g, cfg);
+  const RunResult interim = first.run();
+  ASSERT_TRUE(interim.checkpoint.valid());
+
+  // Patch rank 1's edge_count (right after the header and the owner map)
+  // to 2^40: far more edges than the blob could hold. Restore must fail
+  // with a typed error, not try to reserve the count.
+  Checkpoint hostile = interim.checkpoint;
+  std::vector<std::byte>& blob = hostile.rank_blobs[1];
+  rt::ByteReader r(std::span<const std::byte>(blob).subspan(3));
+  (void)r.read_vec<Rank>();
+  const std::size_t at = blob.size() - r.remaining();
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  ASSERT_LE(at + sizeof(huge), blob.size());
+  std::memcpy(blob.data() + at, &huge, sizeof(huge));
+
+  AnytimeEngine resumed(g, hostile, cfg);
+  try {
+    (void)resumed.run();
+    FAIL() << "a hostile edge count must not restore";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("rank 1"), std::string::npos)
         << "error should carry rank context: " << e.what();
   }
 }

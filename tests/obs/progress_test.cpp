@@ -35,6 +35,7 @@ obs::ProgressEvent sample_event() {
   ev.queue_max = 99;
   ev.bytes = 1u << 20;
   ev.retransmits = 3;
+  ev.exchange_wait_seconds = 0.03125;
   ev.recoveries = 1;
   ev.has_estimators = true;
   ev.topk_overlap = 0.875;
@@ -65,6 +66,7 @@ TEST(ProgressEvent, NdjsonRoundTrip) {
   EXPECT_EQ(back.queue_max, ev.queue_max);
   EXPECT_EQ(back.bytes, ev.bytes);
   EXPECT_EQ(back.retransmits, ev.retransmits);
+  EXPECT_EQ(back.exchange_wait_seconds, ev.exchange_wait_seconds);
   EXPECT_EQ(back.recoveries, ev.recoveries);
   ASSERT_TRUE(back.has_estimators);
   EXPECT_DOUBLE_EQ(back.topk_overlap, ev.topk_overlap);
@@ -112,6 +114,15 @@ TEST(ProgressEvent, ParserToleratesUnknownFields) {
       ev));
   EXPECT_EQ(ev.phase, "rc_step");
   EXPECT_EQ(ev.step, 5u);
+  // Feeds written before the exchange had a single schedule carry an
+  // field of the removed send-window telemetry; it is skipped like any
+  // other unknown field.
+  ASSERT_TRUE(obs::parse_progress_event(
+      "{\"v\":1,\"phase\":\"rc_step\",\"step\":6,"
+      "\"exchange_wait_seconds\":0.5,\"inflight_depth\":1}",
+      ev));
+  EXPECT_EQ(ev.step, 6u);
+  EXPECT_EQ(ev.exchange_wait_seconds, 0.5);
 }
 
 TEST(ProgressSinks, FileSinkWritesParseableLines) {
@@ -235,6 +246,22 @@ TEST(ProgressFeed, FeedDoesNotPerturbResults) {
     ASSERT_EQ(with_feed.harmonic[v], plain.harmonic[v]) << "vertex " << v;
   }
   EXPECT_EQ(with_feed.stats.rc_steps, plain.stats.rc_steps);
+}
+
+TEST(ProgressFeed, ExchangeWaitReachesStatsAndFeed) {
+  const Graph g = make_er(160, 480, 91, WeightRange{1, 5});
+  EngineConfig cfg;
+  cfg.num_ranks = 4;
+  RunResult r;
+  const auto events = run_with_feed(g, cfg, &r);
+  EXPECT_GE(r.stats.rc_exchange_wait_seconds, 0.0);
+  double per_step = 0.0;
+  for (const StepStats& s : r.stats.steps) {
+    EXPECT_GE(s.sum_exchange_wait_seconds, 0.0);
+    per_step += s.sum_exchange_wait_seconds;
+  }
+  EXPECT_DOUBLE_EQ(per_step, r.stats.rc_exchange_wait_seconds);
+  for (const auto& ev : events) EXPECT_GE(ev.exchange_wait_seconds, 0.0);
 }
 
 TEST(ProgressFeed, RecoveryEventsUnderInjectedCrash) {

@@ -158,6 +158,20 @@ TEST(WireV2, AscendingIdsRoundTrip) {
   EXPECT_TRUE(read_ascending_ids(re).empty());
 }
 
+TEST(WireV2, HostileCountsAreUnderflowsNotAllocations) {
+  // A buffer holding only the count 2^50: every element takes at least one
+  // byte, so both readers must reject the count before reserving it. The
+  // failure is the reader's logic_error (which checkpoint restore turns
+  // into a typed CheckpointError), never std::bad_alloc.
+  ByteWriter w;
+  w.write_varint(std::uint64_t{1} << 50);
+  const auto buf = w.take();
+  ByteReader packed(buf);
+  EXPECT_THROW((void)read_packed_u32s(packed), std::logic_error);
+  ByteReader ids(buf);
+  EXPECT_THROW((void)read_ascending_ids(ids), std::logic_error);
+}
+
 TEST(WireV2, DenseAscendingRunIsOneBytePerId) {
   // Consecutive ids delta-encode to 0x00 bytes.
   std::vector<VertexId> ids(100);
