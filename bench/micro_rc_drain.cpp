@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -101,17 +102,25 @@ int main() {
   // "disabled" overhead is measured as reproducibility of trace-off runs:
   // if the null-track branches cost anything measurable, the drain CPU
   // could not reproduce within the gate. The metric is
-  // rc_drain_cpu_seconds — thread-CPU spent inside drain() — which is
-  // immune to wall-clock scheduler noise; the spread is taken between the
-  // two fastest of five runs (benchstat-style), because a single
-  // preempted run would otherwise dominate (max-min) with cache-eviction
-  // noise that has nothing to do with the hooks. enabled_overhead_pct
-  // compares the best trace-on run against the best trace-off run.
+  // rc_drain_cpu_seconds — thread-CPU spent inside drain() — and the
+  // spread is taken between the two fastest of five runs (benchstat-style),
+  // because a single preempted run would otherwise dominate (max-min) with
+  // cache-eviction noise that has nothing to do with the hooks. Thread-CPU
+  // still grows when threads share a core (cache and frequency effects), so
+  // the section runs at ranks × rc_threads ≤ hardware_concurrency(), and
+  // off and on runs alternate (off first in even pairs, on first in odd
+  // ones) so a drift in host load lands on both sides.
+  // enabled_overhead_pct compares the best trace-on run against the best
+  // trace-off run.
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  const Rank trace_ranks = std::min<Rank>(ranks, static_cast<Rank>(hw));
+  const std::size_t trace_threads = std::clamp<std::size_t>(
+      hw / static_cast<unsigned>(trace_ranks), 1, 2);
   const auto traced_run = [&](bool trace_on) {
     EngineConfig cfg;
-    cfg.num_ranks = ranks;
+    cfg.num_ranks = trace_ranks;
     cfg.seed = seed;
-    cfg.rc_threads = 2;
+    cfg.rc_threads = trace_threads;
     cfg.transport.recv_timeout = bench::watchdog_timeout();
     cfg.trace.enabled = trace_on;
     // Trace-on runs carry the full observability cost, flow stamping
@@ -122,15 +131,17 @@ int main() {
     return engine.run().stats.rc_drain_cpu_seconds;
   };
   std::vector<double> off;
-  for (int i = 0; i < 5; ++i) off.push_back(traced_run(false));
+  std::vector<double> on;
+  for (int i = 0; i < 5; ++i) {
+    const bool on_first = i % 2 == 1;
+    if (on_first) on.push_back(traced_run(true));
+    off.push_back(traced_run(false));
+    if (!on_first) on.push_back(traced_run(true));
+  }
   std::sort(off.begin(), off.end());
   const double off_min = off[0];
   const double off_second = off[1];
-  double on_min = 0.0;
-  for (int i = 0; i < 2; ++i) {
-    const double c = traced_run(true);
-    on_min = i == 0 ? c : std::min(on_min, c);
-  }
+  const double on_min = *std::min_element(on.begin(), on.end());
   const double disabled_overhead_pct =
       off_min > 0.0 ? 100.0 * (off_second - off_min) / off_min : 0.0;
   const double enabled_overhead_pct =
@@ -146,9 +157,9 @@ int main() {
   std::uint64_t progress_events = 0;
   const auto progress_run = [&] {
     EngineConfig cfg;
-    cfg.num_ranks = ranks;
+    cfg.num_ranks = trace_ranks;
     cfg.seed = seed;
-    cfg.rc_threads = 2;
+    cfg.rc_threads = trace_threads;
     cfg.transport.recv_timeout = bench::watchdog_timeout();
     progress_events = 0;
     cfg.progress.callback = [&](const obs::ProgressEvent&) {
@@ -174,8 +185,10 @@ int main() {
                 c.identical ? "yes" : "NO");
   }
   std::printf("trace overhead: disabled %.2f%% (spread of 2 fastest of 5 off"
-              " runs), enabled %.2f%% (drain CPU, best off vs best of 2 on)\n",
-              disabled_overhead_pct, enabled_overhead_pct);
+              " runs), enabled %.2f%% (drain CPU, best off vs best of 5 on;"
+              " P=%d x rc_threads=%zu on %u cores, alternating)\n",
+              disabled_overhead_pct, enabled_overhead_pct, trace_ranks,
+              trace_threads, hw);
   std::printf("progress feed:  enabled %.2f%% drain CPU (%llu events/run; "
               "disabled cost is the boolean-test spread above)\n",
               progress_overhead_pct,
@@ -195,7 +208,9 @@ int main() {
          << ",\"modeled_speedup\":" << c.speedup
          << ",\"identical\":" << (c.identical ? "true" : "false") << '}';
   }
-  json << "],\"trace_overhead\":{\"drain_cpu_off_min\":" << off_min
+  json << "],\"trace_overhead\":{\"ranks\":" << static_cast<int>(trace_ranks)
+       << ",\"rc_threads\":" << trace_threads
+       << ",\"drain_cpu_off_min\":" << off_min
        << ",\"drain_cpu_off_second\":" << off_second
        << ",\"drain_cpu_on_min\":" << on_min
        << ",\"disabled_overhead_pct\":" << disabled_overhead_pct

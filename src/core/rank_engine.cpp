@@ -123,9 +123,11 @@ RankEngine::RankEngine(const Init& init, rt::Comm& comm)
       const auto it = caches_.find(portal);
       if (it == caches_.end()) continue;
       const PortalView pv{portal, it->second, adj};
+      apply_record_.clear();
       for (VertexId t = 0; t < static_cast<VertexId>(pv.cache.size()); ++t) {
-        if (pv.cache[t] != kInfDist) apply_portal_value(pv, t, kInfDist);
+        if (pv.cache[t] != kInfDist) apply_record_.emplace_back(t, kInfDist);
       }
+      apply_portal_record(pv, apply_record_);
     }
   }
 }
@@ -444,7 +446,7 @@ void RankEngine::adopt_shards(const Init& init) {
   //    portal caches are kept: their owners survived with their poison
   //    state intact, so the values are genuine upper bounds repairs may
   //    re-derive through. Dead-owned caches are NOT erased here — they are
-  //    the subscriber-side baseline apply_portal_value compares against to
+  //    the subscriber-side baseline apply_portal_record compares against to
   //    detect increases, so step 6b poisons through them instead.
   for (auto it = caches_.begin(); it != caches_.end();) {
     if (lg_.is_local(it->first) || !lg_.is_portal(it->first)) {
@@ -649,12 +651,48 @@ static void watch(const char* what, Rank rank, VertexId x, VertexId t, Dist d,
 
 RankEngine::ShardCtx RankEngine::serial_ctx() {
   ShardCtx ctx;
-  ctx.worklist = &worklist_;
   ctx.repairs = &repairs_;
   ctx.relaxations = &relaxations_;
   ctx.dirty_entries = &dirty_entries_;
   ctx.repairs_run = &repair_count_;
   return ctx;
+}
+
+inline void RankEngine::relax_row(ShardCtx& ctx, DvRow& row, std::size_t ri,
+                                  VertexId t, Dist nd, VertexId nh) {
+  const Dist cur = row.dist(t);
+  if (nd >= cur) return;  // also drops nd == kInfDist
+  if (cur == kInfDist && row.test_flag(t, DvRow::kDirty)) {
+    // Undelivered poison marker: subscribers have not yet been told this
+    // entry died. Overwriting it now (e.g. from a stale portal cache while
+    // ingesting a later event of the same batch) would silently revoke the
+    // invalidation and leave remote dependents holding stale-low values.
+    // Defer: repairs run only after the poison barrier has drained.
+    ctx.repairs->emplace_back(row.self(), t);
+    return;
+  }
+  AACC_WATCH_HIT("relax", row.self(), t, nd, nh);
+  if (ctx.deltas == nullptr) {
+    row.set(t, nd, nh);
+    if (row.mark_dirty(t)) ++*ctx.dirty_entries;
+  } else {
+    DvRowDelta& delta = (*ctx.deltas)[ri];
+    if (!delta.live) {
+      delta.live = true;
+      ctx.touched->push_back(static_cast<std::uint32_t>(ri));
+    }
+    row.set_sharded(t, nd, nh, delta);
+    if (row.mark_dirty_sharded(t, delta)) ++*ctx.dirty_entries;
+  }
+  ++*ctx.relaxations;
+  if (!row.test_flag(t, DvRow::kQueued)) {
+    row.set_flag(t, DvRow::kQueued);
+    if (ctx.frontier != nullptr) {
+      ctx.frontier->push(static_cast<std::uint32_t>(ri), t);
+    } else {
+      worklist_.emplace_back(row.self(), t);
+    }
+  }
 }
 
 void RankEngine::relax(VertexId x, VertexId t, Dist nd, VertexId nh) {
@@ -667,50 +705,8 @@ void RankEngine::relax(ShardCtx& ctx, VertexId x, VertexId t, Dist nd,
   if (nd == kInfDist || !lg_.is_alive(t)) return;
   const std::int32_t ri = lg_.row_of(x);
   AACC_DCHECK(ri >= 0);
-  DvRow& row = dv_->row(static_cast<std::size_t>(ri));
-  if (row.dist(t) == kInfDist && row.test_flag(t, DvRow::kDirty)) {
-    // Undelivered poison marker: subscribers have not yet been told this
-    // entry died. Overwriting it now (e.g. from a stale portal cache while
-    // ingesting a later event of the same batch) would silently revoke the
-    // invalidation and leave remote dependents holding stale-low values.
-    // Defer: repairs run only after the poison barrier has drained.
-    ctx.repairs->emplace_back(x, t);
-    return;
-  }
-  if (nd < row.dist(t)) {
-    AACC_WATCH_HIT("relax", x, t, nd, nh);
-    if (ctx.deltas == nullptr) {
-      row.set(t, nd, nh);
-      if (row.mark_dirty(t)) ++*ctx.dirty_entries;
-    } else {
-      DvRowDelta& delta = (*ctx.deltas)[static_cast<std::size_t>(ri)];
-      if (!delta.live) {
-        delta.live = true;
-        ctx.touched->push_back(static_cast<std::uint32_t>(ri));
-      }
-      row.set_sharded(t, nd, nh, delta);
-      if (row.mark_dirty_sharded(t, delta)) ++*ctx.dirty_entries;
-    }
-    ++*ctx.relaxations;
-    if (!row.test_flag(t, DvRow::kQueued)) {
-      row.set_flag(t, DvRow::kQueued);
-      ctx.worklist->emplace_back(x, t);
-    }
-  }
-}
-
-void RankEngine::propagate(ShardCtx& ctx, VertexId x, VertexId t) {
-  const std::int32_t ri = lg_.row_of(x);
-  if (ri < 0) return;  // migrated or deleted since queueing
-  DvRow& row = dv_->row(static_cast<std::size_t>(ri));
-  row.clear_flag(t, DvRow::kQueued);
-  const Dist base = row.dist(t);
-  if (base == kInfDist) return;  // poisoned since queueing
-  for (const Edge& e : lg_.adj(static_cast<std::size_t>(ri))) {
-    if (lg_.is_local(e.to)) {
-      relax(ctx, e.to, t, dist_add(base, e.w), x);
-    }
-  }
+  const auto r = static_cast<std::size_t>(ri);
+  relax_row(ctx, dv_->row(r), r, t, nd, nh);
 }
 
 void RankEngine::repair(ShardCtx& ctx, VertexId x, VertexId t) {
@@ -754,124 +750,169 @@ std::size_t RankEngine::rc_thread_count() const {
 }
 
 void RankEngine::drain() {
+  // Column-sharded drain (DESIGN.md §"Column-sharded parallel recombination
+  // drain"). Every queued (x, t) item reads and writes column t only — a
+  // frontier row relaxes its neighbours' column t, a deferred repair
+  // re-queues (x, t), and repair() reads neighbour rows and portal caches
+  // at column t — so partitioning by t mod shards yields shard-disjoint
+  // work. Every shard runs the same kernel (drain_rounds), whose schedule
+  // restricted to one column depends only on that column's own state, so
+  // distances, next hops, flag bytes and counter totals come out
+  // bit-identical for any shard count. The serial drain is one shard.
   const std::size_t queued = repairs_.size() + worklist_.size();
   const obs::ScopedSpan span(trace_, "drain", "queued", queued);
   if (m_queue_depth_ != nullptr) m_queue_depth_->record(queued);
   queue_depth_step_ += queued;  // progress feed: frontier depth this step
+  if (queued == 0) return;
   const std::uint64_t repairs_before = repair_count_;
-  const double t0 = thread_cpu_now();
-  const std::size_t shards =
-      std::min(rc_thread_count(), queued / kDrainShardGrain);
-  if (shards > 1) {
-    drain_parallel(shards);
-  } else {
-    // Serial path. Repairs first: they re-derive poisoned entries, whose
-    // improvements then flow through the worklist.
-    ShardCtx ctx = serial_ctx();
-    while (!repairs_.empty() || !worklist_.empty()) {
-      if (!repairs_.empty()) {
-        const auto [x, t] = repairs_.front();
-        repairs_.pop_front();
-        repair(ctx, x, t);
-      } else {
-        const auto [x, t] = worklist_.front();
-        worklist_.pop_front();
-        propagate(ctx, x, t);
-      }
+  const double part0 = thread_cpu_now();
+  const std::size_t shards = std::max<std::size_t>(
+      1, std::min(rc_thread_count(), queued / kDrainShardGrain));
+  if (rc_shards_.size() < shards) rc_shards_.resize(shards);
+  for (std::size_t s = 0; s < shards; ++s) {
+    RcShard& sh = rc_shards_[s];
+    sh.next.cols.resize(dv_->size());
+    sh.pass.cols.resize(dv_->size());
+    if (shards > 1) sh.deltas.resize(dv_->size());
+  }
+  // Bucket the seed queue into each shard's first frontier, popping as it
+  // goes so the queue's blocks are freed while the frontier fills. An item
+  // whose vertex lost its row since queueing (migrated or deleted) is
+  // dropped.
+  while (!worklist_.empty()) {
+    const auto [x, t] = worklist_.front();
+    worklist_.pop_front();
+    const std::int32_t ri = lg_.row_of(x);
+    if (ri >= 0) {
+      rc_shards_[t % shards].next.push(static_cast<std::uint32_t>(ri), t);
     }
-    const double dt = thread_cpu_now() - t0;
+  }
+
+  if (shards == 1) {
+    ShardCtx ctx = serial_ctx();
+    ctx.frontier = &rc_shards_[0].next;
+    drain_rounds(ctx, rc_shards_[0]);
+    const double dt = thread_cpu_now() - part0;
     drain_cpu_seconds_ += dt;
     drain_modeled_seconds_ += dt;
+  } else {
+    for (const auto& [x, t] : repairs_) {
+      rc_shards_[t % shards].repairs.emplace_back(x, t);
+    }
+    repairs_.clear();
+    const double partition_cpu = thread_cpu_now() - part0;
+
+    run_workers(shards, [&](std::size_t s) {
+      RcShard& sh = rc_shards_[s];
+      std::size_t seeded = sh.repairs.size();
+      if (tracer_ != nullptr) {
+        for (const std::uint32_t ri : sh.next.rows) {
+          seeded += sh.next.cols[ri].size();
+        }
+      }
+      const obs::ScopedSpan wspan(
+          tracer_ != nullptr ? &tracer_->subtrack(comm_.rank(), s) : nullptr,
+          "drain_shard", "queued", seeded);
+      const double w0 = thread_cpu_now();
+      ShardCtx ctx;
+      ctx.frontier = &sh.next;
+      ctx.repairs = &sh.repairs;
+      ctx.relaxations = &sh.relaxations;
+      ctx.dirty_entries = &sh.dirty_entries;
+      ctx.repairs_run = &sh.repairs_run;
+      ctx.deltas = &sh.deltas;
+      ctx.touched = &sh.touched;
+      drain_rounds(ctx, sh);
+      sh.cpu_seconds = thread_cpu_now() - w0;
+    });
+
+    // Deterministic merge, in shard-id order: row aggregates and index-list
+    // appends fold in via apply_delta, counters sum. The append order
+    // differs from the serial drain's, but list order is unobservable —
+    // every consumer sorts, clears, or filters by the per-column flags.
+    const double merge0 = thread_cpu_now();
+    double max_shard_cpu = 0.0;
+    double sum_shard_cpu = 0.0;
+    for (std::size_t s = 0; s < shards; ++s) {
+      RcShard& sh = rc_shards_[s];
+      for (const std::uint32_t ri : sh.touched) {
+        dv_->row(ri).apply_delta(sh.deltas[ri]);
+      }
+      sh.touched.clear();
+      relaxations_ += sh.relaxations;
+      dirty_entries_ += sh.dirty_entries;
+      repair_count_ += sh.repairs_run;
+      sh.relaxations = 0;
+      sh.dirty_entries = 0;
+      sh.repairs_run = 0;
+      max_shard_cpu = std::max(max_shard_cpu, sh.cpu_seconds);
+      sum_shard_cpu += sh.cpu_seconds;
+      sh.cpu_seconds = 0.0;
+    }
+    const double merge_cpu = thread_cpu_now() - merge0;
+    drain_cpu_seconds_ += partition_cpu + sum_shard_cpu + merge_cpu;
+    drain_modeled_seconds_ += partition_cpu + max_shard_cpu + merge_cpu;
   }
-  // Repairs interleave with propagation inside the drain (FIFO, repairs
-  // first), so repair activity surfaces as one counted instant per drain
-  // rather than per-item spans.
+  // Release the frontiers: the first drains after IA queue a large share of
+  // the matrix, and keeping that capacity between drains would sit on top
+  // of the DV store's footprint for the rest of the run.
+  for (std::size_t s = 0; s < shards; ++s) {
+    rc_shards_[s].next = Frontier{};
+    rc_shards_[s].pass = Frontier{};
+  }
+  // Repairs interleave with the frontier passes inside the drain, so repair
+  // activity surfaces as one counted instant per drain rather than per-item
+  // spans.
   if (trace_ != nullptr && repair_count_ > repairs_before) {
     trace_->instant("repairs", "count", repair_count_ - repairs_before);
   }
 }
 
-void RankEngine::drain_parallel(std::size_t shards) {
-  // Column-sharded drain (DESIGN.md §"Column-sharded parallel recombination
-  // drain"). Every queued (x, t) item reads and writes column t only —
-  // propagation enqueues (neighbour, t), a deferred repair re-enqueues
-  // (x, t), and repair() reads neighbour rows and portal caches at column t
-  // — so partitioning by t mod shards yields shard-disjoint work. The
-  // partition below is a stable filter of the FIFO queues, each shard runs
-  // the same repairs-first FIFO rule, and no item ever changes shard, so
-  // every shard replays exactly the serial schedule restricted to its
-  // columns: distances, next hops, flag bytes, queue contents and counter
-  // totals come out bit-identical to the serial drain for any shard count.
-  const double part0 = thread_cpu_now();
-  if (rc_shards_.size() < shards) rc_shards_.resize(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    rc_shards_[s].deltas.resize(dv_->size());
-  }
-  for (const auto& [x, t] : repairs_) {
-    rc_shards_[t % shards].repairs.emplace_back(x, t);
-  }
-  for (const auto& [x, t] : worklist_) {
-    rc_shards_[t % shards].worklist.emplace_back(x, t);
-  }
-  repairs_.clear();
-  worklist_.clear();
-  const double partition_cpu = thread_cpu_now() - part0;
-
-  run_workers(shards, [&](std::size_t s) {
-    const obs::ScopedSpan wspan(
-        tracer_ != nullptr ? &tracer_->subtrack(comm_.rank(), s) : nullptr,
-        "drain_shard", "queued",
-        rc_shards_[s].repairs.size() + rc_shards_[s].worklist.size());
-    const double w0 = thread_cpu_now();
-    RcShard& sh = rc_shards_[s];
-    ShardCtx ctx;
-    ctx.worklist = &sh.worklist;
-    ctx.repairs = &sh.repairs;
-    ctx.relaxations = &sh.relaxations;
-    ctx.dirty_entries = &sh.dirty_entries;
-    ctx.repairs_run = &sh.repairs_run;
-    ctx.deltas = &sh.deltas;
-    ctx.touched = &sh.touched;
-    while (!sh.repairs.empty() || !sh.worklist.empty()) {
-      if (!sh.repairs.empty()) {
-        const auto [x, t] = sh.repairs.front();
-        sh.repairs.pop_front();
-        repair(ctx, x, t);
-      } else {
-        const auto [x, t] = sh.worklist.front();
-        sh.worklist.pop_front();
-        propagate(ctx, x, t);
+void RankEngine::drain_rounds(ShardCtx& ctx, RcShard& sh) {
+  for (;;) {
+    // Repairs first: they re-derive poisoned entries, whose improvements
+    // join the coming round (a deferral re-queues here, for the next one).
+    while (!ctx.repairs->empty()) {
+      const auto [x, t] = ctx.repairs->front();
+      ctx.repairs->pop_front();
+      repair(ctx, x, t);
+    }
+    if (sh.next.rows.empty()) return;
+    // Level-synchronous round: visit every row with queued columns in
+    // ascending row order. An entry improved during the round joins the
+    // next one, unless it is still queued for this one (kQueued set, its
+    // row not yet visited) — then this round's visit reads the new value.
+    std::swap(sh.pass, sh.next);
+    std::sort(sh.pass.rows.begin(), sh.pass.rows.end());
+    for (const std::uint32_t ri : sh.pass.rows) {
+      std::vector<VertexId>& cols = sh.pass.cols[ri];
+      DvRow& row = dv_->row(ri);
+      // Dequeue the row's columns; poisoned entries (and targets deleted
+      // since queueing) have nothing to offer.
+      sh.base.clear();
+      std::size_t live = 0;
+      for (const VertexId t : cols) {
+        row.clear_flag(t, DvRow::kQueued);
+        const Dist d = row.dist(t);
+        if (d == kInfDist || !lg_.is_alive(t)) continue;
+        cols[live++] = t;
+        sh.base.push_back(d);
       }
+      cols.resize(live);
+      if (live == 0) continue;
+      const VertexId x = row.self();
+      for (const Edge& e : lg_.adj(ri)) {
+        if (!lg_.is_local(e.to)) continue;
+        const auto yi = static_cast<std::size_t>(lg_.row_of(e.to));
+        DvRow& yrow = dv_->row(yi);
+        for (std::size_t k = 0; k < live; ++k) {
+          relax_row(ctx, yrow, yi, cols[k], dist_add(sh.base[k], e.w), x);
+        }
+      }
+      cols.clear();
     }
-    sh.cpu_seconds = thread_cpu_now() - w0;
-  });
-
-  // Deterministic merge, in shard-id order: row aggregates and index-list
-  // appends fold in via apply_delta, counters sum. The append order differs
-  // from the serial drain's interleaving, but list order is unobservable —
-  // every consumer sorts, clears, or filters by the per-column flags.
-  const double merge0 = thread_cpu_now();
-  double max_shard_cpu = 0.0;
-  double sum_shard_cpu = 0.0;
-  for (std::size_t s = 0; s < shards; ++s) {
-    RcShard& sh = rc_shards_[s];
-    for (const std::uint32_t ri : sh.touched) {
-      dv_->row(ri).apply_delta(sh.deltas[ri]);
-    }
-    sh.touched.clear();
-    relaxations_ += sh.relaxations;
-    dirty_entries_ += sh.dirty_entries;
-    repair_count_ += sh.repairs_run;
-    sh.relaxations = 0;
-    sh.dirty_entries = 0;
-    sh.repairs_run = 0;
-    max_shard_cpu = std::max(max_shard_cpu, sh.cpu_seconds);
-    sum_shard_cpu += sh.cpu_seconds;
-    sh.cpu_seconds = 0.0;
+    sh.pass.rows.clear();
   }
-  const double merge_cpu = thread_cpu_now() - merge0;
-  drain_cpu_seconds_ += partition_cpu + sum_shard_cpu + merge_cpu;
-  drain_modeled_seconds_ += partition_cpu + max_shard_cpu + merge_cpu;
 }
 
 // ------------------------------------------------------------- poisoning
@@ -961,25 +1002,40 @@ RankEngine::PortalView RankEngine::portal_view(VertexId b) {
   return {b, cache_of(b), lg_.portal_neighbors(b)};
 }
 
-void RankEngine::apply_portal_value(const PortalView& pv, VertexId t, Dist d) {
+void RankEngine::apply_portal_record(
+    const PortalView& pv, std::span<const std::pair<VertexId, Dist>> entries) {
+  // Pass 1, entry order: fold each value into the cache. The owner's value
+  // increased (a deletion upstream), or this is an explicit poison marker:
+  // every local chain through b for this target is stale. The marker must
+  // cascade even when the cache already reads infinity — a cache rebuilt
+  // after repartitioning starts blank, yet dependents derived in an earlier
+  // co-location/subscription era may still hold finite values routed
+  // through b.
   const VertexId b = pv.b;
-  const Dist cur = pv.cache[t];
-  if (d == cur && d != kInfDist) return;
-  pv.cache[t] = d;
-  if (d > cur || d == kInfDist) {
-    // The owner's value increased (a deletion upstream), or this is an
-    // explicit poison marker: every local chain through b for this target
-    // is stale. The marker must cascade even when the cache already reads
-    // infinity — a cache rebuilt after repartitioning starts blank, yet
-    // dependents derived in an earlier co-location/subscription era may
-    // still hold finite values routed through b.
-    std::deque<std::pair<VertexId, VertexId>> seeds;
-    seeds.emplace_back(b, t);
-    poison_cascade(std::move(seeds));
+  apply_live_.clear();
+  for (const auto& [t, d] : entries) {
+    const Dist cur = pv.cache[t];
+    if (d == cur && d != kInfDist) continue;
+    pv.cache[t] = d;
+    if (d > cur || d == kInfDist) {
+      std::deque<std::pair<VertexId, VertexId>> seeds;
+      seeds.emplace_back(b, t);
+      poison_cascade(std::move(seeds));
+    }
+    if (d != kInfDist && lg_.is_alive(t)) apply_live_.emplace_back(t, d);
   }
-  if (d != kInfDist && lg_.is_alive(t)) {
-    for (const auto& [x, w] : pv.neighbors) {
-      relax(x, t, dist_add(d, w), b);
+  if (apply_live_.empty()) return;
+  // Pass 2, neighbour-major: relax each local neighbour's row through b
+  // for every surviving entry, resolving the row once. Each column sees
+  // its cascade before its relaxations and the neighbours in adjacency
+  // order; columns never interact, and the drain depends on which entries
+  // are queued, not on their order.
+  ShardCtx ctx = serial_ctx();
+  for (const auto& [x, w] : pv.neighbors) {
+    const auto ri = static_cast<std::size_t>(lg_.row_of(x));
+    DvRow& row = dv_->row(ri);
+    for (const auto& [t, d] : apply_live_) {
+      relax_row(ctx, row, ri, t, dist_add(d, w), b);
     }
   }
 }
@@ -1138,13 +1194,12 @@ void RankEngine::apply_incoming(const std::vector<std::vector<std::byte>>& in) {
       }
       if (rec.count() == 0) continue;  // never creates an unused cache row
       // Record-granular apply: b's cache row and neighbour span are
-      // resolved once, not per entry. Applying never adds or removes a
-      // portal or a cache row, so both stay valid across the loop.
-      const PortalView pv = portal_view(b);
+      // resolved once per record, each neighbour row once per record.
+      apply_record_.clear();
       for (std::uint32_t i = 0; i < rec.count(); ++i) {
-        const auto [t, d] = rec.next();
-        apply_portal_value(pv, t, d);
+        apply_record_.push_back(rec.next());
       }
+      apply_portal_record(portal_view(b), apply_record_);
     }
   }
 }
@@ -1300,17 +1355,18 @@ void RankEngine::eager_edge_relax(const EdgeAddEvent& e) {
   const std::vector<Dist> row_v = fetch_row(e.v);
 
   // Fold the broadcast rows into the portal caches first, *through the
-  // regular delivery path* (apply_portal_value), exactly as if the owner's
+  // regular delivery path* (apply_portal_record), exactly as if the owner's
   // row had arrived in an exchange: decreases relax the portal's
   // neighbours, increases/poisons cascade. (Silently assigning the cache
   // would make the owner's next dirty-send look like a no-change and
   // suppress the relaxation it is meant to trigger — an early bug.)
   const auto absorb = [&](VertexId vtx, const std::vector<Dist>& row) {
     if (!lg_.is_portal(vtx)) return;
-    const PortalView pv = portal_view(vtx);
+    apply_record_.clear();
     for (VertexId t = 0; t < row.size(); ++t) {
-      apply_portal_value(pv, t, row[t]);
+      apply_record_.emplace_back(t, row[t]);
     }
+    apply_portal_record(portal_view(vtx), apply_record_);
   };
   absorb(e.u, row_u);
   absorb(e.v, row_v);

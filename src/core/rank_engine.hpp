@@ -210,13 +210,27 @@ class RankEngine {
 
  private:
   // ---- relaxation machinery ----
+  /// One drain round's queued work, bucketed by row: per local row, the
+  /// columns whose kQueued flag is set for that round, plus the rows that
+  /// have any (drain_rounds() visits them in ascending row order).
+  struct Frontier {
+    std::vector<std::vector<VertexId>> cols;  // one slot per local row
+    std::vector<std::uint32_t> rows;          // rows with a nonempty slot
+    void push(std::uint32_t ri, VertexId t) {
+      std::vector<VertexId>& c = cols[ri];
+      if (c.empty()) rows.push_back(ri);
+      c.push_back(t);
+    }
+  };
   /// Mutation sink for the relaxation kernel. Serial entry points bind it
   /// to the engine-level queues/counters and mutate rows directly
-  /// (deltas == nullptr); each drain shard binds its own queues, counters
-  /// and per-row delta buffers, so the parallel hot path takes no locks and
-  /// touches no shared aggregate.
+  /// (deltas == nullptr) and queue improved entries on worklist_
+  /// (frontier == nullptr); inside a drain, improved entries go straight to
+  /// the next round's frontier. Each drain shard binds its own queues,
+  /// counters and per-row delta buffers, so the parallel hot path takes no
+  /// locks and touches no shared aggregate.
   struct ShardCtx {
-    std::deque<std::pair<VertexId, VertexId>>* worklist = nullptr;
+    Frontier* frontier = nullptr;  // null => queue on worklist_
     std::deque<std::pair<VertexId, VertexId>>* repairs = nullptr;
     std::uint64_t* relaxations = nullptr;
     std::uint64_t* dirty_entries = nullptr;
@@ -224,10 +238,13 @@ class RankEngine {
     std::vector<DvRowDelta>* deltas = nullptr;   // null => direct row mutation
     std::vector<std::uint32_t>* touched = nullptr;  // rows with live deltas
   };
-  /// Reusable per-shard drain state (worklists keyed by t mod shards).
+  /// Reusable per-shard drain state (columns keyed by t mod shards; the
+  /// serial drain is shard 0 of one).
   struct RcShard {
-    std::deque<std::pair<VertexId, VertexId>> worklist;
+    Frontier next;  // queued for the coming round
+    Frontier pass;  // the round being visited
     std::deque<std::pair<VertexId, VertexId>> repairs;
+    std::vector<Dist> base;              // visited row's surviving values
     std::vector<DvRowDelta> deltas;      // one slot per local row
     std::vector<std::uint32_t> touched;  // rows whose delta is live
     std::uint64_t relaxations = 0;
@@ -246,11 +263,18 @@ class RankEngine {
   };
 
   [[nodiscard]] ShardCtx serial_ctx();
+  /// Offers nd (via nh) to entry t of an already-resolved local row ri: the
+  /// one place holding the poison-marker deferral, dirty marking, delta
+  /// buffering and queueing rule.
+  void relax_row(ShardCtx& ctx, DvRow& row, std::size_t ri, VertexId t,
+                 Dist nd, VertexId nh);
   void relax(ShardCtx& ctx, VertexId x, VertexId t, Dist nd, VertexId nh);
   void relax(VertexId x, VertexId t, Dist nd, VertexId nh);
   void drain();
-  void drain_parallel(std::size_t shards);
-  void propagate(ShardCtx& ctx, VertexId x, VertexId t);
+  /// The drain kernel: level-synchronous rounds over sh.next until no
+  /// column is queued and no repair is pending (DESIGN.md §"Column-sharded
+  /// parallel recombination drain").
+  void drain_rounds(ShardCtx& ctx, RcShard& sh);
   void repair(ShardCtx& ctx, VertexId x, VertexId t);
   [[nodiscard]] std::size_t rc_thread_count() const;
   /// Transitively invalidates every local entry whose next-hop chain passes
@@ -271,9 +295,12 @@ class RankEngine {
   };
   /// Creates b's cache row on first use; b must be a portal.
   [[nodiscard]] PortalView portal_view(VertexId b);
-  /// Folds the owner's value d for target t into b's cache: an increase or
-  /// a poison marker cascades, a finite value relaxes b's neighbours.
-  void apply_portal_value(const PortalView& pv, VertexId t, Dist d);
+  /// Folds one record of the owner's (target, value) entries into b's
+  /// cache: an increase or a poison marker cascades, then every finite
+  /// changed value relaxes b's local neighbours, one neighbour row at a
+  /// time.
+  void apply_portal_record(const PortalView& pv,
+                           std::span<const std::pair<VertexId, Dist>> entries);
 
   // ---- RC step pieces ----
   void exchange();
@@ -405,6 +432,10 @@ class RankEngine {
   std::vector<rt::ByteWriter> sync_writers_;
   std::vector<std::pair<std::size_t, VertexId>> sync_markers_;
   std::vector<std::pair<VertexId, Dist>> sync_scratch_;
+  /// apply_incoming()'s decoded record and apply_portal_record()'s
+  /// surviving entries.
+  std::vector<std::pair<VertexId, Dist>> apply_record_;
+  std::vector<std::pair<VertexId, Dist>> apply_live_;
   /// The reusable boundary-flag vector maintain_store hands to
   /// DvStore::maintain.
   std::vector<std::uint8_t> boundary_flags_;

@@ -220,6 +220,54 @@ TEST(ParallelRc, FaultRecoveryIsBitIdentical) {
   }
 }
 
+TEST(ParallelRc, UnitWeightBaTiesAreBitIdentical) {
+  // The perfbench graph shape (BA, m = 3, unit weights): equal-length
+  // routes are everywhere, so the next hop an entry keeps is whichever
+  // relaxation reached it first. The drain's schedule restricted to one
+  // column depends only on that column's own state, so next hops and the
+  // per-step counters must not move with the shard count — statically and
+  // across one batch of deletions and additions.
+  const Graph g = make_ba(400, 3, 79);
+  EngineConfig cfg;
+  cfg.num_ranks = 3;
+  cfg.validate_each_step = true;
+  const RunResult ref = run_threads(g, {}, cfg, 1);
+  expect_apsp_exact(g, ref);
+  for (const std::size_t t : {2, 7}) {
+    expect_identical(ref, run_threads(g, {}, cfg, t), t);
+  }
+
+  Rng rng(80);
+  Graph truth = g;
+  EventSchedule sched;
+  EventBatch b;
+  b.at_step = 1;
+  for (int i = 0; i < 12; ++i) {
+    const auto edges = truth.edges();
+    const auto& [u, v, w] = edges[rng.next_below(edges.size())];
+    (void)w;
+    truth.remove_edge(u, v);
+    b.events.emplace_back(EdgeDeleteEvent{u, v});
+  }
+  for (int added = 0; added < 12;) {
+    const auto u = static_cast<VertexId>(rng.next_below(truth.num_vertices()));
+    const auto v = static_cast<VertexId>(rng.next_below(truth.num_vertices()));
+    if (u == v || truth.has_edge(u, v)) continue;
+    truth.add_edge(u, v);
+    b.events.emplace_back(EdgeAddEvent{u, v, 1});
+    ++added;
+  }
+  sched.push_back(std::move(b));
+  const RunResult dyn = run_threads(g, sched, cfg, 1);
+  std::uint64_t poisons = 0;
+  for (const StepStats& st : dyn.stats.steps) poisons += st.poisons;
+  EXPECT_GT(poisons, 0u);  // the deletions reach the poison/repair path
+  expect_apsp_exact(truth, dyn);
+  for (const std::size_t t : {2, 7}) {
+    expect_identical(dyn, run_threads(g, sched, cfg, t), t);
+  }
+}
+
 TEST(ParallelRc, RandomizedScheduleFuzz) {
   // Seeded fuzz over mixed random schedules (growth, deletions, weight
   // changes): serial vs sharded must agree bit for bit, and both must match

@@ -73,6 +73,35 @@ TEST(PathReconstruction, AfterDynamicChanges) {
   expect_paths_realize_distances(cursor, r, 5);
 }
 
+TEST(PathReconstruction, ReroutedUnitWeightBa) {
+  // Unit-weight BA (the perfbench shape): after a deletion batch the
+  // repairs and the level-synchronous drain re-route around the cut among
+  // many equal-length alternatives. Whichever next hop the schedule keeps,
+  // every chain must still walk real edges and realize the distance.
+  const Graph g = make_ba(300, 3, 6);
+  Rng rng(7);
+  EventSchedule sched;
+  EventBatch batch;
+  batch.at_step = 1;
+  Graph cursor = g;
+  for (int i = 0; i < 20; ++i) {
+    const auto edges = cursor.edges();
+    const auto& [u, v, w] = edges[rng.next_below(edges.size())];
+    (void)w;
+    cursor.remove_edge(u, v);
+    batch.events.emplace_back(EdgeDeleteEvent{u, v});
+  }
+  sched.push_back(std::move(batch));
+
+  EngineConfig cfg;
+  cfg.num_ranks = 3;
+  cfg.gather_apsp = true;
+  AnytimeEngine engine(g, cfg);
+  const RunResult r = engine.run(sched);
+  test::expect_apsp_exact(cursor, r);
+  expect_paths_realize_distances(cursor, r, 3);
+}
+
 TEST(PathReconstruction, SelfPathAndUnreachable) {
   Graph g(3);
   g.add_edge(0, 1, 2);
