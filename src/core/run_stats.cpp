@@ -3,138 +3,88 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/json.hpp"
 #include "core/engine.hpp"
 
 namespace aacc {
 
-namespace {
-
-void jdouble(std::ostream& os, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  os << buf;
-}
-
-void jstring(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      os << buf;
-    } else {
-      os << c;
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
-
 void RunStats::to_json(std::ostream& os, bool include_steps) const {
-  os << "{\"wall_seconds\":";
-  jdouble(os, wall_seconds);
-  os << ",\"dd_seconds\":";
-  jdouble(os, dd_seconds);
-  os << ",\"total_cpu_seconds\":";
-  jdouble(os, total_cpu_seconds);
-  os << ",\"max_rank_cpu_seconds\":";
-  jdouble(os, max_rank_cpu_seconds);
-  os << ",\"modeled_makespan_seconds\":";
-  jdouble(os, modeled_makespan_seconds);
-  os << ",\"cpu_by_phase\":{";
+  using json::Double;
+  using json::Quoted;
+  os << "{\"wall_seconds\":" << Double{wall_seconds}
+     << ",\"dd_seconds\":" << Double{dd_seconds}
+     << ",\"total_cpu_seconds\":" << Double{total_cpu_seconds}
+     << ",\"max_rank_cpu_seconds\":" << Double{max_rank_cpu_seconds}
+     << ",\"modeled_makespan_seconds\":" << Double{modeled_makespan_seconds}
+     << ",\"cpu_by_phase\":{";
   bool first = true;
   for (const auto& [phase, secs] : cpu_by_phase) {
     if (!first) os << ",";
     first = false;
-    jstring(os, phase);
-    os << ":";
-    jdouble(os, secs);
+    os << Quoted{phase} << ":" << Double{secs};
   }
   os << "},\"total_bytes\":" << total_bytes
      << ",\"total_messages\":" << total_messages
      << ",\"frame_overhead_bytes\":" << frame_overhead_bytes
      << ",\"retransmits\":" << retransmits
-     << ",\"modeled_network_seconds\":{\"serialized\":";
-  jdouble(os, modeled_network_seconds_serialized);
-  os << ",\"shifted\":";
-  jdouble(os, modeled_network_seconds_shifted);
-  os << ",\"flood\":";
-  jdouble(os, modeled_network_seconds_flood);
-  os << "},\"rc_steps\":" << rc_steps << ",\"rc_drain_cpu_seconds\":";
-  jdouble(os, rc_drain_cpu_seconds);
-  os << ",\"rc_drain_modeled_seconds\":";
-  jdouble(os, rc_drain_modeled_seconds);
-  os << ",\"rc_exchange_wait_seconds\":";
-  jdouble(os, rc_exchange_wait_seconds);
-  os << ",\"rc_blocked_on_seconds\":";
-  jdouble(os, rc_blocked_on_seconds);
-  os << ",\"rc_blocked_on\":[";
+     << ",\"modeled_network_seconds\":{\"serialized\":"
+     << Double{modeled_network_seconds_serialized}
+     << ",\"shifted\":" << Double{modeled_network_seconds_shifted}
+     << ",\"flood\":" << Double{modeled_network_seconds_flood}
+     << "},\"rc_steps\":" << rc_steps
+     << ",\"rc_drain_cpu_seconds\":" << Double{rc_drain_cpu_seconds}
+     << ",\"rc_drain_modeled_seconds\":" << Double{rc_drain_modeled_seconds}
+     << ",\"rc_exchange_wait_seconds\":" << Double{rc_exchange_wait_seconds}
+     << ",\"rc_blocked_on_seconds\":" << Double{rc_blocked_on_seconds}
+     << ",\"rc_blocked_on\":[";
   first = true;
   for (const auto& [rank, secs] : rc_blocked_on_by_rank) {
     if (!first) os << ",";
     first = false;
-    os << "{\"rank\":" << rank << ",\"seconds\":";
-    jdouble(os, secs);
-    os << "}";
+    os << "{\"rank\":" << rank << ",\"seconds\":" << Double{secs} << "}";
   }
   os << "],\"histograms\":{";
   first = true;
   for (const auto& [name, h] : histogram_summary) {
     if (!first) os << ",";
     first = false;
-    jstring(os, name);
-    os << ":{\"count\":" << h.count << ",\"sum\":" << h.sum << ",\"p50\":";
-    jdouble(os, h.p50);
-    os << ",\"p95\":";
-    jdouble(os, h.p95);
-    os << ",\"p99\":";
-    jdouble(os, h.p99);
-    os << "}";
+    os << Quoted{name} << ":{\"count\":" << h.count << ",\"sum\":" << h.sum
+       << ",\"p50\":" << Double{h.p50} << ",\"p95\":" << Double{h.p95}
+       << ",\"p99\":" << Double{h.p99} << "}";
   }
   os << "},\"recoveries\":" << recoveries << ",\"recovery_log\":[";
   for (std::size_t i = 0; i < recovery_log.size(); ++i) {
     const RecoveryRecord& r = recovery_log[i];
     if (i != 0) os << ",";
-    os << "{\"kind\":";
-    jstring(os, r.kind);
-    os << ",\"at_step\":" << r.at_step << ",\"mttr_seconds\":";
-    jdouble(os, r.mttr_seconds);
-    os << "}";
+    os << "{\"kind\":" << Quoted{r.kind} << ",\"at_step\":" << r.at_step
+       << ",\"mttr_seconds\":" << Double{r.mttr_seconds} << "}";
   }
   os << "],\"invariant_violations\":" << invariant_violations
      << ",\"cut_edges_initial\":" << cut_edges_initial
-     << ",\"cut_edges_final\":" << cut_edges_final << ",\"imbalance_final\":";
-  jdouble(os, imbalance_final);
-  os << ",\"dv_resident_bytes\":" << dv_resident_bytes
+     << ",\"cut_edges_final\":" << cut_edges_final
+     << ",\"imbalance_final\":" << Double{imbalance_final}
+     << ",\"dv_resident_bytes\":" << dv_resident_bytes
      << ",\"dv_cold_bytes\":" << dv_cold_bytes
      << ",\"dv_promotions\":" << dv_promotions
-     << ",\"dv_demotions\":" << dv_demotions << ",\"dv_decode_seconds\":";
-  jdouble(os, dv_decode_seconds);
+     << ",\"dv_demotions\":" << dv_demotions
+     << ",\"dv_decode_seconds\":" << Double{dv_decode_seconds};
   if (include_steps) {
     os << ",\"steps\":[";
     for (std::size_t i = 0; i < steps.size(); ++i) {
       const StepStats& s = steps[i];
       if (i != 0) os << ",";
       os << "{\"step\":" << s.step << ",\"bytes\":" << s.bytes
-         << ",\"max_cpu_seconds\":";
-      jdouble(os, s.max_cpu_seconds);
-      os << ",\"sum_cpu_seconds\":";
-      jdouble(os, s.sum_cpu_seconds);
-      os << ",\"relaxations\":" << s.relaxations
+         << ",\"max_cpu_seconds\":" << Double{s.max_cpu_seconds}
+         << ",\"sum_cpu_seconds\":" << Double{s.sum_cpu_seconds}
+         << ",\"relaxations\":" << s.relaxations
          << ",\"poisons\":" << s.poisons << ",\"repairs\":" << s.repairs
-         << ",\"sum_drain_cpu_seconds\":";
-      jdouble(os, s.sum_drain_cpu_seconds);
-      os << ",\"max_drain_modeled_seconds\":";
-      jdouble(os, s.max_drain_modeled_seconds);
-      os << ",\"sum_exchange_wait_seconds\":";
-      jdouble(os, s.sum_exchange_wait_seconds);
-      os << ",\"blocked_on_rank\":" << s.blocked_on_rank
-         << ",\"blocked_seconds\":";
-      jdouble(os, s.max_blocked_seconds);
-      os << "}";
+         << ",\"sum_drain_cpu_seconds\":" << Double{s.sum_drain_cpu_seconds}
+         << ",\"max_drain_modeled_seconds\":"
+         << Double{s.max_drain_modeled_seconds}
+         << ",\"sum_exchange_wait_seconds\":"
+         << Double{s.sum_exchange_wait_seconds}
+         << ",\"blocked_on_rank\":" << s.blocked_on_rank
+         << ",\"blocked_seconds\":" << Double{s.max_blocked_seconds} << "}";
     }
     os << "]";
   }

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <istream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <ostream>
@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.hpp"
 #include "obs/trace.hpp"
 
 namespace aacc::obs {
@@ -77,28 +78,6 @@ struct StepWindow {
   double end_us = -std::numeric_limits<double>::infinity();
   std::int32_t straggler = -1;
 };
-
-void write_double(std::ostream& os, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  os << buf;
-}
-
-void write_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      os << buf;
-    } else {
-      os << c;
-    }
-  }
-  os << '"';
-}
 
 }  // namespace
 
@@ -329,77 +308,70 @@ CausalAnalysis analyze_causal(const std::vector<CausalEvent>& events,
 
 namespace {
 
-bool extract_string(const std::string& line, const char* key,
-                    std::string& out) {
-  const std::string pat = std::string("\"") + key + "\":\"";
-  const auto p = line.find(pat);
-  if (p == std::string::npos) return false;
-  std::string s;
-  for (std::size_t i = p + pat.size(); i < line.size(); ++i) {
-    const char c = line[i];
-    if (c == '\\' && i + 1 < line.size()) {
-      s.push_back(line[++i]);
-    } else if (c == '"') {
-      out = std::move(s);
-      return true;
-    } else {
-      s.push_back(c);
+/// Fills `out` (whose ph is set) from one B/E/i traceEvents entry: a
+/// string name, integer pid/tid and a numeric ts are required; the
+/// argument is the first integer member of `args`, if any.
+bool decode_trace_event(const json::Value& ev, CausalEvent& out) {
+  for (const char* key : {"name", "pid", "tid", "ts"}) {
+    if (ev.find(key) == nullptr) return false;
+  }
+  if (!json::read_field(ev, "name", out.name) ||
+      !json::read_field(ev, "pid", out.pid) ||
+      !json::read_field(ev, "tid", out.tid) ||
+      !json::read_field(ev, "ts", out.ts_us)) {
+    return false;
+  }
+  if (const json::Value* args = ev.find("args"); args != nullptr) {
+    if (args->object() == nullptr) return false;
+    for (const auto& [key, value] : *args->object()) {
+      if (const auto arg = value.integer<std::uint64_t>()) {
+        out.has_arg = true;
+        out.arg_name = key;
+        out.arg = *arg;
+        break;
+      }
     }
   }
-  return false;
-}
-
-bool extract_number(const std::string& line, const char* key, double& out) {
-  const std::string pat = std::string("\"") + key + "\":";
-  const auto p = line.find(pat);
-  if (p == std::string::npos) return false;
-  const char* s = line.c_str() + p + pat.size();
-  char* end = nullptr;
-  out = std::strtod(s, &end);
-  return end != s;
+  return true;
 }
 
 }  // namespace
 
 bool load_chrome_trace(std::istream& is, std::vector<CausalEvent>& out) {
-  std::string line;
-  bool any = false;
-  while (std::getline(is, line)) {
-    std::string ph;
-    if (!extract_string(line, "ph", ph) || ph.size() != 1) continue;
-    if (ph[0] != 'B' && ph[0] != 'E' && ph[0] != 'i') continue;
+  const std::string text(std::istreambuf_iterator<char>(is), {});
+  json::Value doc;
+  if (json::parse(text, doc) != json::Error::kNone) return false;
+  const json::Value* events = doc.find("traceEvents");
+  if (events == nullptr || events->array() == nullptr) return false;
+  std::vector<CausalEvent> parsed;
+  for (const json::Value& ev : *events->array()) {
+    const json::Value* ph = ev.find("ph");
+    if (ph == nullptr || ph->string() == nullptr) return false;
+    const std::string& kind = *ph->string();
+    // Metadata ("M") and Perfetto flow arrows ("s"/"f") carry no spans.
+    if (kind != "B" && kind != "E" && kind != "i") continue;
     CausalEvent e;
-    e.ph = ph[0];
-    if (!extract_string(line, "name", e.name)) continue;
-    double v = 0;
-    if (extract_number(line, "pid", v)) e.pid = static_cast<std::int32_t>(v);
-    if (extract_number(line, "tid", v)) e.tid = static_cast<std::int32_t>(v);
-    if (extract_number(line, "ts", v)) e.ts_us = v;
-    const auto ap = line.find("\"args\":{\"");
-    if (ap != std::string::npos) {
-      const std::size_t key_start = ap + 9;
-      const auto key_end = line.find('"', key_start);
-      if (key_end != std::string::npos &&
-          key_end + 1 < line.size() && line[key_end + 1] == ':') {
-        e.arg_name = line.substr(key_start, key_end - key_start);
-        const char* s = line.c_str() + key_end + 2;
-        char* num_end = nullptr;
-        const unsigned long long val = std::strtoull(s, &num_end, 10);
-        if (num_end != s) {
-          e.has_arg = true;
-          e.arg = static_cast<std::uint64_t>(val);
-        }
-      }
-    }
-    out.push_back(std::move(e));
-    any = true;
+    e.ph = kind[0];
+    if (!decode_trace_event(ev, e)) return false;
+    parsed.push_back(std::move(e));
   }
-  return any;
+  if (parsed.empty()) return false;
+  out.insert(out.end(), std::make_move_iterator(parsed.begin()),
+             std::make_move_iterator(parsed.end()));
+  return true;
 }
 
 // ------------------------------------------------------------- reports
 
 void write_attribution_json(std::ostream& os, const CausalAnalysis& a) {
+  const auto write_costs = [&os](const std::vector<PhaseCost>& costs) {
+    for (std::size_t i = 0; i < costs.size(); ++i) {
+      const PhaseCost& c = costs[i];
+      if (i != 0) os << ",";
+      os << "{\"rank\":" << c.rank << ",\"phase\":" << json::Quoted{c.phase}
+         << ",\"seconds\":" << json::Double{c.seconds} << "}";
+    }
+  };
   os << "{\"events\":" << a.events << ",\"wall_clock\":"
      << (a.wall_clock ? "true" : "false") << ",\"flow\":{\"sends\":"
      << a.flow_sends << ",\"recvs\":" << a.flow_recvs
@@ -407,36 +379,17 @@ void write_attribution_json(std::ostream& os, const CausalAnalysis& a) {
      << ",\"rehomed_sends\":" << a.rehomed_sends
      << ",\"dangling_sends\":" << a.dangling_sends
      << ",\"unmatched_recvs\":" << a.unmatched_recvs << "},\"steps\":[";
-  bool first = true;
-  for (const StepAttribution& s : a.steps) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"step\":" << s.step << ",\"makespan_seconds\":";
-    write_double(os, s.makespan_seconds);
-    os << ",\"critical_path_seconds\":";
-    write_double(os, s.critical_path_seconds);
-    os << ",\"straggler\":" << s.straggler << ",\"blocked_on\":[";
-    bool bf = true;
-    for (const PhaseCost& c : s.blocked_on) {
-      if (!bf) os << ",";
-      bf = false;
-      os << "{\"rank\":" << c.rank << ",\"phase\":";
-      write_json_string(os, c.phase);
-      os << ",\"seconds\":";
-      write_double(os, c.seconds);
-      os << "}";
-    }
+  for (std::size_t i = 0; i < a.steps.size(); ++i) {
+    const StepAttribution& s = a.steps[i];
+    if (i != 0) os << ",";
+    os << "{\"step\":" << s.step
+       << ",\"makespan_seconds\":" << json::Double{s.makespan_seconds}
+       << ",\"critical_path_seconds\":"
+       << json::Double{s.critical_path_seconds}
+       << ",\"straggler\":" << s.straggler << ",\"blocked_on\":[";
+    write_costs(s.blocked_on);
     os << "],\"chain\":[";
-    bf = true;
-    for (const PhaseCost& c : s.chain) {
-      if (!bf) os << ",";
-      bf = false;
-      os << "{\"rank\":" << c.rank << ",\"phase\":";
-      write_json_string(os, c.phase);
-      os << ",\"seconds\":";
-      write_double(os, c.seconds);
-      os << "}";
-    }
+    write_costs(s.chain);
     os << "]}";
   }
   os << "]}";

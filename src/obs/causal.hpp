@@ -142,9 +142,12 @@ struct CausalAnalysis {
 [[nodiscard]] CausalAnalysis analyze_causal(
     const std::vector<CausalEvent>& events, bool wall_clock = true);
 
-/// Parses a Chrome trace JSON written by write_chrome_trace back into the
-/// neutral event list (metadata and Perfetto flow lines are skipped).
-/// Returns false when the stream contains no trace events.
+/// Parses a Chrome trace JSON document (as written by write_chrome_trace;
+/// any layout and key order) back into the neutral event list, appended to
+/// `out` in traceEvents order. Metadata and Perfetto flow events are
+/// skipped. Returns false, appending nothing, when the document is
+/// malformed, a B/E/i event lacks a string name, integer pid/tid or a
+/// numeric ts, or no such event is present.
 bool load_chrome_trace(std::istream& is, std::vector<CausalEvent>& out);
 
 /// Deterministic JSON report: flow accounting + the attribution table.

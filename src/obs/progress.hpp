@@ -89,7 +89,7 @@ struct ProgressEvent {
   /// Current global top-k vertex ids, best first (bounded by
   /// ProgressConfig::top_k; empty for recovery events).
   std::vector<VertexId> top;
-  /// Recovery kind ("rollback" / "degraded"); empty otherwise.
+  /// Recovery kind ("adopt" / "rollback" / "degraded"); empty otherwise.
   std::string detail;
 };
 
@@ -101,8 +101,11 @@ inline constexpr int kProgressSchemaVersion = 1;
 [[nodiscard]] std::string to_ndjson(const ProgressEvent& ev);
 
 /// Parses one NDJSON line produced by to_ndjson (used by `aacc tail` and
-/// tests). Tolerates unknown fields; returns false on malformed input or a
-/// schema version newer than kProgressSchemaVersion.
+/// tests) with the strict reader in common/json.hpp. Tolerates unknown
+/// fields; returns false (leaving `out` untouched) on malformed JSON, a
+/// schema version newer than kProgressSchemaVersion, or a known field of
+/// the wrong type. Integer fields must be integer literals the field holds
+/// exactly: negative, fractional and out-of-range values are rejected.
 bool parse_progress_event(const std::string& line, ProgressEvent& out);
 
 /// Sink interface. Implementations receive events strictly serially (see

@@ -8,6 +8,8 @@
 #include <fstream>
 #include <ostream>
 
+#include "common/json.hpp"
+
 namespace aacc::obs {
 namespace {
 
@@ -87,23 +89,6 @@ Trace Tracer::merge() const {
 
 namespace {
 
-void write_json_string(std::ostream& os, const char* s) {
-  os << '"';
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      os << buf;
-    } else {
-      os << c;
-    }
-  }
-  os << '"';
-}
-
 void write_ts(std::ostream& os, std::uint64_t ts_ns) {
   // Chrome trace-event timestamps are microseconds; keep nanosecond
   // resolution with a fixed three-decimal format so output is stable.
@@ -123,9 +108,7 @@ void write_meta(std::ostream& os, const char* what, std::int32_t pid,
   first = false;
   os << "{\"name\":\"" << what << "\",\"ph\":\"M\",";
   write_track_ids(os, pid, tid);
-  os << ",\"ts\":0,\"args\":{\"name\":";
-  write_json_string(os, name.c_str());
-  os << "}}";
+  os << ",\"ts\":0,\"args\":{\"name\":" << json::Quoted{name} << "}}";
 }
 
 std::string pid_name(std::int32_t pid) {
@@ -170,9 +153,8 @@ void write_chrome_trace(std::ostream& os, const Trace& trace) {
     while (!stack.empty()) {
       if (!first) os << ",\n";
       first = false;
-      os << "{\"name\":";
-      write_json_string(os, stack.back().name);
-      os << ",\"ph\":\"E\",";
+      os << "{\"name\":" << json::Quoted{stack.back().name}
+         << ",\"ph\":\"E\",";
       write_track_ids(os, cur_pid, cur_tid);
       os << ",\"ts\":";
       write_ts(os, track_last_ts);
@@ -205,9 +187,7 @@ void write_chrome_trace(std::ostream& os, const Trace& trace) {
     }
     if (!first) os << ",\n";
     first = false;
-    os << "{\"name\":";
-    write_json_string(os, e.ev.name);
-    os << ",\"ph\":\""
+    os << "{\"name\":" << json::Quoted{e.ev.name} << ",\"ph\":\""
        << (e.ev.kind == EventKind::kBegin
                ? 'B'
                : e.ev.kind == EventKind::kEnd ? 'E' : 'i')
@@ -217,9 +197,8 @@ void write_chrome_trace(std::ostream& os, const Trace& trace) {
     write_ts(os, e.ev.ts_ns);
     if (e.ev.kind == EventKind::kInstant) os << ",\"s\":\"t\"";
     if (e.ev.arg_name != nullptr) {
-      os << ",\"args\":{";
-      write_json_string(os, e.ev.arg_name);
-      os << ":" << e.ev.arg << "}";
+      os << ",\"args\":{" << json::Quoted{e.ev.arg_name} << ":" << e.ev.arg
+         << "}";
     }
     os << "}";
     // Flow instants additionally get a Perfetto flow event ("s" opens the

@@ -1,170 +1,65 @@
 #include "serve/stream.hpp"
 
-#include <cctype>
-#include <cstdlib>
-#include <limits>
 #include <sstream>
+
+#include "common/json.hpp"
 
 namespace aacc::serve {
 
-namespace {
-
-// Minimal JSON cursor over the flat objects this codec emits (same style
-// as the progress-feed parser; kept local because the grammars differ).
-struct Cursor {
-  const char* p;
-  const char* end;
-
-  void ws() {
-    while (p < end && std::isspace(static_cast<unsigned char>(*p)) != 0) ++p;
-  }
-  bool eat(char c) {
-    ws();
-    if (p < end && *p == c) {
-      ++p;
-      return true;
-    }
-    return false;
-  }
-};
-
-bool parse_string(Cursor& c, std::string& out) {
-  if (!c.eat('"')) return false;
-  out.clear();
-  while (c.p < c.end && *c.p != '"') {
-    if (*c.p == '\\') return false;  // ops and keys never need escapes
-    out.push_back(*c.p++);
-  }
-  return c.eat('"');
-}
-
-bool parse_u64(Cursor& c, std::uint64_t& out) {
-  c.ws();
-  if (c.p >= c.end || std::isdigit(static_cast<unsigned char>(*c.p)) == 0) {
-    return false;
-  }
-  char* after = nullptr;
-  out = std::strtoull(c.p, &after, 10);
-  if (after == c.p || after > c.end) return false;
-  c.p = after;
-  return true;
-}
-
-bool parse_vertex(Cursor& c, VertexId& out) {
-  std::uint64_t v = 0;
-  if (!parse_u64(c, v) || v >= kNoVertex) return false;
-  out = static_cast<VertexId>(v);
-  return true;
-}
-
-bool parse_weight(Cursor& c, Weight& out) {
-  std::uint64_t w = 0;
-  if (!parse_u64(c, w) || w < 1 ||
-      w > std::numeric_limits<Weight>::max()) {
-    return false;
-  }
-  out = static_cast<Weight>(w);
-  return true;
-}
-
-/// [[v,w],...] — the add_vertex edge list.
-bool parse_edge_list(Cursor& c,
-                     std::vector<std::pair<VertexId, Weight>>& out) {
-  if (!c.eat('[')) return false;
-  out.clear();
-  if (c.eat(']')) return true;
-  for (;;) {
-    VertexId v = 0;
-    Weight w = 0;
-    if (!c.eat('[') || !parse_vertex(c, v) || !c.eat(',') ||
-        !parse_weight(c, w) || !c.eat(']')) {
-      return false;
-    }
-    out.emplace_back(v, w);
-    if (c.eat(']')) return true;
-    if (!c.eat(',')) return false;
-  }
-}
-
-}  // namespace
-
 bool parse_mutation_line(const std::string& line, StreamCommand& out) {
-  Cursor c{line.data(), line.data() + line.size()};
-  if (!c.eat('{')) return false;
-  out = StreamCommand{};
-  std::string op;
-  // Field accumulators; which ones are required depends on op.
-  bool have_u = false, have_v = false, have_w = false, have_id = false,
-       have_edges = false;
+  json::Value doc;
+  if (json::parse(line, doc) != json::Error::kNone) return false;
+  // Known fields are validated whatever the op; which ones are required
+  // depends on the op. Any other member is ignored.
+  const auto has = [&doc](const char* key) { return doc.find(key) != nullptr; };
+  std::string op;  // absent: rejected below as an unknown op
   VertexId u = 0, v = 0, id = 0;
-  Weight w = 0;
+  Weight w = 1;  // add_edge's default
+  if (!json::read_field(doc, "op", op) || !json::read_field(doc, "u", u) ||
+      !json::read_field(doc, "v", v) ||
+      !json::read_field(doc, "id", id) || !json::read_field(doc, "w", w) ||
+      u == kNoVertex || v == kNoVertex || id == kNoVertex || w < 1) {
+    return false;
+  }
   std::vector<std::pair<VertexId, Weight>> edges;
-  if (!c.eat('}')) {
-    for (;;) {
-      std::string key;
-      if (!parse_string(c, key) || !c.eat(':')) return false;
-      if (key == "op") {
-        if (!parse_string(c, op)) return false;
-      } else if (key == "u") {
-        if (!parse_vertex(c, u)) return false;
-        have_u = true;
-      } else if (key == "v") {
-        if (!parse_vertex(c, v)) return false;
-        have_v = true;
-      } else if (key == "id") {
-        if (!parse_vertex(c, id)) return false;
-        have_id = true;
-      } else if (key == "w") {
-        if (!parse_weight(c, w)) return false;
-        have_w = true;
-      } else if (key == "edges") {
-        if (!parse_edge_list(c, edges)) return false;
-        have_edges = true;
-      } else {
-        // Tolerate unknown scalar fields (numbers/strings) for forward
-        // compatibility; structured unknowns are rejected.
-        c.ws();
-        if (c.p < c.end && *c.p == '"') {
-          std::string skip;
-          if (!parse_string(c, skip)) return false;
-        } else {
-          std::uint64_t skip = 0;
-          if (!parse_u64(c, skip)) return false;
-        }
-      }
-      if (c.eat('}')) break;
-      if (!c.eat(',')) return false;
+  if (const json::Value* list = doc.find("edges"); list != nullptr) {
+    if (list->array() == nullptr) return false;
+    for (const json::Value& pair : *list->array()) {  // [[v,w],...]
+      const json::Value::Array* vw = pair.array();
+      if (vw == nullptr || vw->size() != 2) return false;
+      const auto ev = (*vw)[0].integer<VertexId>();
+      const auto ew = (*vw)[1].integer<Weight>();
+      if (!ev || !ew || *ev == kNoVertex || *ew < 1) return false;
+      edges.emplace_back(*ev, *ew);
     }
   }
-  c.ws();
-  if (c.p != c.end) return false;  // trailing garbage
+  out = StreamCommand{};
   if (op == "commit") {
     out.commit = true;
     return true;
   }
   if (op == "add_edge") {
-    if (!have_u || !have_v) return false;
-    out.event = EdgeAddEvent{u, v, have_w ? w : 1};
+    if (!has("u") || !has("v")) return false;
+    out.event = EdgeAddEvent{u, v, w};
     return true;
   }
   if (op == "del_edge") {
-    if (!have_u || !have_v) return false;
+    if (!has("u") || !has("v")) return false;
     out.event = EdgeDeleteEvent{u, v};
     return true;
   }
   if (op == "set_weight") {
-    if (!have_u || !have_v || !have_w) return false;
+    if (!has("u") || !has("v") || !has("w")) return false;
     out.event = WeightChangeEvent{u, v, w};
     return true;
   }
   if (op == "add_vertex") {
-    if (!have_id) return false;
-    out.event = VertexAddEvent{id, have_edges ? std::move(edges)
-                                              : decltype(edges){}};
+    if (!has("id")) return false;
+    out.event = VertexAddEvent{id, std::move(edges)};
     return true;
   }
   if (op == "del_vertex") {
-    if (!have_v) return false;
+    if (!has("v")) return false;
     out.event = VertexDeleteEvent{v};
     return true;
   }

@@ -9,8 +9,15 @@
 //   {"op":"del_vertex","v":7}
 //   {"op":"commit"}
 // `commit` is a batch boundary: everything since the previous commit is
-// ingested as one EventBatch. Weights are integers >= 1 (common/types.hpp).
-// Unknown fields are tolerated; unknown ops are not.
+// ingested as one EventBatch.
+//
+// Line contract: each line is one RFC 8259 JSON object, read by the strict
+// reader in common/json.hpp (standard string escapes, no nan/inf/hex, no
+// repeated keys, bounded nesting). Ids are integer literals below kNoVertex;
+// weights are integer literals >= 1 that fit Weight (common/types.hpp); a
+// fraction or exponent is rejected, not truncated. A known field with a bad
+// value rejects the line whatever the op. Unknown fields of any JSON type
+// are ignored; unknown ops are rejected.
 #pragma once
 
 #include <string>

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/json.hpp"
 #include "obs/causal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -110,6 +111,86 @@ TEST(CausalStitch, ChromeTraceRoundtripPreservesTheEdges) {
   EXPECT_EQ(parsed.steps.size(), direct.steps.size());
 }
 
+// Re-emits a parsed JSON document pretty-printed (one member or element
+// per line, two-space indent) with every object's keys in reverse order.
+void write_pretty_reversed(std::ostream& os, const json::Value& v,
+                           int depth) {
+  const std::string pad(2 * static_cast<std::size_t>(depth + 1), ' ');
+  const std::string close_pad(2 * static_cast<std::size_t>(depth), ' ');
+  if (const auto* members = v.object()) {
+    os << '{';
+    for (auto it = members->rbegin(); it != members->rend(); ++it) {
+      os << (it == members->rbegin() ? "\n" : ",\n") << pad
+         << json::Quoted{it->first} << ": ";
+      write_pretty_reversed(os, it->second, depth + 1);
+    }
+    os << '\n' << close_pad << '}';
+  } else if (const auto* items = v.array()) {
+    os << '[';
+    for (std::size_t i = 0; i < items->size(); ++i) {
+      os << (i == 0 ? "\n" : ",\n") << pad;
+      write_pretty_reversed(os, (*items)[i], depth + 1);
+    }
+    os << '\n' << close_pad << ']';
+  } else if (const auto* str = v.string()) {
+    os << json::Quoted{*str};
+  } else if (const bool* b = v.boolean()) {
+    os << (*b ? "true" : "false");
+  } else if (const auto u = v.integer<std::uint64_t>()) {
+    os << *u;
+  } else if (const auto i = v.integer<std::int64_t>()) {
+    os << *i;
+  } else if (const auto d = v.number()) {
+    os << json::Double{*d};
+  } else {
+    os << "null";
+  }
+}
+
+TEST(CausalStitch, PrettyPrintedReversedKeyTraceReadsTheSame) {
+  // The Chrome trace is read as a JSON document, not line by line: the
+  // same trace pretty-printed (each event spans many lines) with every
+  // event's keys reversed ("args" before "name") must give the same event
+  // list and the same attribution bytes as the compact export.
+  const Graph g = make_ba(90, 2, 13);
+  EngineConfig cfg = traced_cfg(3);
+  cfg.trace.logical_clock = true;
+  AnytimeEngine engine(g, cfg);
+  std::ostringstream compact;
+  obs::write_chrome_trace(compact, engine.run().trace);
+
+  json::Value doc;
+  ASSERT_EQ(json::parse(compact.str(), doc), json::Error::kNone);
+  std::ostringstream pretty;
+  write_pretty_reversed(pretty, doc, 0);
+
+  std::vector<obs::CausalEvent> expected;
+  std::vector<obs::CausalEvent> actual;
+  std::istringstream compact_in(compact.str());
+  std::istringstream pretty_in(pretty.str());
+  ASSERT_TRUE(obs::load_chrome_trace(compact_in, expected));
+  ASSERT_TRUE(obs::load_chrome_trace(pretty_in, actual));
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const obs::CausalEvent& x = expected[i];
+    const obs::CausalEvent& y = actual[i];
+    EXPECT_TRUE(x.pid == y.pid && x.tid == y.tid && x.name == y.name &&
+                x.ph == y.ph && x.ts_us == y.ts_us && x.has_arg == y.has_arg &&
+                x.arg_name == y.arg_name && x.arg == y.arg)
+        << "event " << i << ": " << x.name << " vs " << y.name;
+  }
+  // Both attribution modes: flow accounting only (logical ticks), and the
+  // per-step walk, which the tick timestamps also drive deterministically.
+  for (const bool wall_clock : {false, true}) {
+    std::ostringstream want;
+    std::ostringstream got;
+    obs::write_attribution_json(want,
+                                obs::analyze_causal(expected, wall_clock));
+    obs::write_attribution_json(got, obs::analyze_causal(actual, wall_clock));
+    EXPECT_EQ(got.str(), want.str());
+  }
+}
+
 // ------------------------------------------------- critical-path coverage
 
 TEST(CriticalPath, CoversEachStepsMakespan) {
@@ -181,6 +262,56 @@ TEST(CausalStitch, LogicalClockFlowTraceIsByteIdentical) {
   EXPECT_FALSE(a.wall_clock);
   EXPECT_GT(a.matched_edges, 0u);
   EXPECT_TRUE(a.steps.empty());
+}
+
+obs::CausalAnalysis golden_analysis() {
+  obs::CausalAnalysis a;
+  a.events = 40;
+  a.flow_sends = 6;
+  a.flow_recvs = 5;
+  a.matched_edges = 5;
+  a.rehomed_sends = 1;
+  a.unmatched_recvs = 0;
+  obs::StepAttribution s;
+  s.step = 3;
+  s.makespan_seconds = 0.1;
+  s.critical_path_seconds = 0.1 + 1e-17;
+  s.straggler = 2;
+  s.blocked_on = {{2, "drain", 0.0625}, {1, "wire", 1.0 / 3.0}};
+  s.chain = {{1, "wire", 1.0 / 3.0}, {2, "a\"b\\c\td", 0.5}};
+  obs::StepAttribution empty;
+  empty.step = 4;
+  a.steps = {s, empty};
+  return a;
+}
+
+TEST(CausalReport, GoldenAttributionJson) {
+  // Pinned bytes (escaped phase names, %.17g seconds): consumers diff
+  // this report, so a change to the encoding must be deliberate.
+  const obs::CausalAnalysis a = golden_analysis();
+  std::ostringstream os;
+  obs::write_attribution_json(os, a);
+  EXPECT_EQ(os.str(),
+            "{\"events\":40,\"wall_clock\":true,\"flow\":{\"sends\":6,\"recvs\""
+            ":5,\"matched_edges\":5,\"rehomed_sends\":1,\"dangling_sends\":0,\""
+            "unmatched_recvs\":0},\"steps\":[{\"step\":3,\"makespan_seconds\":"
+            "0.10000000000000001,\"critical_path_seconds\":0.10000000000000002"
+            ",\"straggler\":2,\"blocked_on\":[{\"rank\":2,\"phase\":\"drain\","
+            "\"seconds\":0.0625},{\"rank\":1,\"phase\":\"wire\",\"seconds\":0."
+            "33333333333333331}],\"chain\":[{\"rank\":1,\"phase\":\"wire\",\"s"
+            "econds\":0.33333333333333331},{\"rank\":2,\"phase\":\"a\\\"b\\\\c"
+            "\\u0009d\",\"seconds\":0.5}]},{\"step\":4,\"makespan_seconds\":0,"
+            "\"critical_path_seconds\":0,\"straggler\":-1,\"blocked_on\":[],\""
+            "chain\":[]}]}");
+  obs::CausalAnalysis logical = a;
+  logical.wall_clock = false;
+  logical.steps.clear();
+  std::ostringstream los;
+  obs::write_attribution_json(los, logical);
+  EXPECT_EQ(los.str(),
+            "{\"events\":40,\"wall_clock\":false,\"flow\":{\"sends\":6,\"recvs"
+            "\":5,\"matched_edges\":5,\"rehomed_sends\":1,\"dangling_sends\":0"
+            ",\"unmatched_recvs\":0},\"steps\":[]}");
 }
 
 // ------------------------------------------- wire-format neutrality gates

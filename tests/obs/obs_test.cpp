@@ -12,6 +12,7 @@
 #include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
+#include "obs/causal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -90,6 +91,32 @@ TEST(Metrics, ToJsonIsDeterministic) {
   EXPECT_NE(j.find("\"histograms\""), std::string::npos);
 }
 
+TEST(Metrics, GoldenJson) {
+  // Pinned bytes (escaped names, %.17g gauges, percentiles, buckets):
+  // consumers diff this output, so a change must be deliberate.
+  obs::MetricsRegistry reg;
+  reg.counter("a").add(7);
+  reg.counter("esc\"\\\x01").add(18446744073709551615ull);
+  reg.gauge("g").set(0.1);
+  reg.gauge("tiny").set(-2.5e-300);
+  reg.histogram("lat").record(0);
+  reg.histogram("lat").record(3);
+  reg.histogram("lat").record(1024);
+  reg.histogram("lat").record(std::uint64_t{1} << 40);
+  reg.histogram("empty");
+  std::ostringstream os;
+  reg.to_json(os);
+  EXPECT_EQ(os.str(),
+            "{\"counters\":{\"a\":7,\"esc\\\"\\\\\\u0001\":1844674407370955161"
+            "5},\"gauges\":{\"g\":0.10000000000000001,\"tiny\":-2.5e-300},\"hi"
+            "stograms\":{\"empty\":{\"count\":0,\"sum\":0,\"min\":0,\"max\":0,"
+            "\"p50\":0,\"p95\":0,\"p99\":0,\"buckets\":[0]},\"lat\":{\"count\""
+            ":4,\"sum\":1099511628803,\"min\":0,\"max\":1099511627776,\"p50\":"
+            "4,\"p95\":1932735283.1999998,\"p99\":2104533975.04,\"buckets\":[1"
+            ",0,1,0,0,0,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1]}}"
+            "}");
+}
+
 // ----------------------------------------------------------------- tracer
 
 obs::TraceConfig logical_cfg() {
@@ -143,6 +170,73 @@ TEST(Tracer, GoldenChromeTrace) {
       "\"ts\":2.000}\n"
       "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped_events\":0}}\n";
   EXPECT_EQ(os.str(), expected);
+}
+
+TEST(Tracer, GoldenFlowTrace) {
+  // Flow instants (and their Perfetto lines), a name that needs escaping,
+  // a shard subtrack, a span left open and the driver track, as pinned
+  // bytes.
+  obs::TraceConfig cfg;
+  cfg.enabled = true;
+  cfg.logical_clock = true;
+  cfg.track_capacity = 64;
+  obs::Tracer tracer(2, 1, cfg);
+  const std::uint64_t id = obs::pack_flow_id(0, 1, 1, 1);
+  tracer.track(0).begin("rc_step", "step", 1);
+  tracer.track(0).instant("flow:send", "flow", id);
+  tracer.subtrack(0, 0).begin("drain_shard");
+  tracer.subtrack(0, 0).end("drain_shard");
+  tracer.track(0).end("rc_step");
+  tracer.track(1).instant("flow:recv", "flow", id);
+  tracer.track(1).begin("esc \"q\" \\ \x02");
+  tracer.track(1).instant("flow:other", "flow", 9);
+  tracer.driver().instant("recovery:rollback", "step",
+                          18446744073709551615ull);
+  std::ostringstream os;
+  obs::write_chrome_trace(os, tracer.merge());
+  EXPECT_EQ(os.str(),
+            "{\"traceEvents\":[\n"
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"ts\""
+            ":0,\"args\":{\"name\":\"rank 0\"}},\n"
+            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"ts\""
+            ":0,\"args\":{\"name\":\"main\"}},\n"
+            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":1,\"ts\""
+            ":0,\"args\":{\"name\":\"shard 0\"}},\n"
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"ts\""
+            ":0,\"args\":{\"name\":\"rank 1\"}},\n"
+            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"ts\""
+            ":0,\"args\":{\"name\":\"main\"}},\n"
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2147483647,\"tid\""
+            ":0,\"ts\":0,\"args\":{\"name\":\"driver\"}},\n"
+            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2147483647,\"tid\""
+            ":0,\"ts\":0,\"args\":{\"name\":\"driver\"}},\n"
+            "{\"name\":\"rc_step\",\"ph\":\"B\",\"pid\":0,\"tid\":0,\"ts\":1.0"
+            "00,\"args\":{\"step\":1}},\n"
+            "{\"name\":\"flow:send\",\"ph\":\"i\",\"pid\":0,\"tid\":0,\"ts\":2"
+            ".000,\"s\":\"t\",\"args\":{\"flow\":17592202821633}},\n"
+            "{\"name\":\"flow\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":175922028"
+            "21633,\"pid\":0,\"tid\":0,\"ts\":2.000},\n"
+            "{\"name\":\"rc_step\",\"ph\":\"E\",\"pid\":0,\"tid\":0,\"ts\":3.0"
+            "00},\n"
+            "{\"name\":\"drain_shard\",\"ph\":\"B\",\"pid\":0,\"tid\":1,\"ts\""
+            ":1.000},\n"
+            "{\"name\":\"drain_shard\",\"ph\":\"E\",\"pid\":0,\"tid\":1,\"ts\""
+            ":2.000},\n"
+            "{\"name\":\"flow:recv\",\"ph\":\"i\",\"pid\":1,\"tid\":0,\"ts\":1"
+            ".000,\"s\":\"t\",\"args\":{\"flow\":17592202821633}},\n"
+            "{\"name\":\"flow\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"i"
+            "d\":17592202821633,\"pid\":1,\"tid\":0,\"ts\":1.000},\n"
+            "{\"name\":\"esc \\\"q\\\" \\\\ \\u0002\",\"ph\":\"B\",\"pid\":1,\""
+            "tid\":0,\"ts\":2.000},\n"
+            "{\"name\":\"flow:other\",\"ph\":\"i\",\"pid\":1,\"tid\":0,\"ts\":"
+            "3.000,\"s\":\"t\",\"args\":{\"flow\":9}},\n"
+            "{\"name\":\"esc \\\"q\\\" \\\\ \\u0002\",\"ph\":\"E\",\"pid\":1,\""
+            "tid\":0,\"ts\":3.000},\n"
+            "{\"name\":\"recovery:rollback\",\"ph\":\"i\",\"pid\":2147483647,\""
+            "tid\":0,\"ts\":1.000,\"s\":\"t\",\"args\":{\"step\":1844674407370"
+            "9551615}}\n"
+            "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped_events\":0}"
+            "}\n");
 }
 
 TEST(Tracer, ClosesSpansLeftOpen) {
@@ -341,6 +435,110 @@ TEST(EngineMetrics, RegistryAgreesWithStats) {
       r.metrics.find_histogram("rc/drain_queue_depth");
   ASSERT_NE(depth, nullptr);
   EXPECT_GT(depth->count, 0u);
+}
+
+RunStats golden_stats() {
+  RunStats s;
+  s.wall_seconds = 1.25;
+  s.dd_seconds = 0.1;
+  s.total_cpu_seconds = 1.0 / 3.0;
+  s.max_rank_cpu_seconds = 2e-7;
+  s.modeled_makespan_seconds = 12345.678;
+  s.cpu_by_phase = {{"ia", 0.5}, {"rc \"drain\"\\\n", 0.25}};
+  s.total_bytes = (std::uint64_t{1} << 53) + 1;
+  s.total_messages = 42;
+  s.frame_overhead_bytes = 7;
+  s.retransmits = 3;
+  s.modeled_network_seconds_serialized = 0.001;
+  s.modeled_network_seconds_shifted = 1e-9;
+  s.modeled_network_seconds_flood = 3.5;
+  s.rc_steps = 9;
+  s.rc_drain_cpu_seconds = 0.75;
+  s.rc_drain_modeled_seconds = 0.5;
+  s.rc_exchange_wait_seconds = 0.0625;
+  s.rc_blocked_on_seconds = 0.125;
+  s.rc_blocked_on_by_rank = {{-1, 0.5}, {2, 0.03}};
+  s.recoveries = 1;
+  s.recovery_log = {{"rollback", 4, -1.0}, {"adopt", 6, 0.2}};
+  s.cut_edges_initial = 100;
+  s.cut_edges_final = 90;
+  s.imbalance_final = 1.0625;
+  s.dv_resident_bytes = 4096;
+  s.dv_cold_bytes = 512;
+  s.dv_promotions = 2;
+  s.dv_demotions = 5;
+  s.dv_decode_seconds = 1e-4;
+  s.histogram_summary["serve/point_ns"] = {10, 1234, 100.5, 200.25, 300.125};
+  StepStats st;
+  st.step = 1;
+  st.bytes = 999;
+  st.max_cpu_seconds = 0.2;
+  st.sum_cpu_seconds = 0.7;
+  st.relaxations = 123456789012345;
+  st.poisons = 4;
+  st.repairs = 5;
+  st.sum_drain_cpu_seconds = 0.3;
+  st.max_drain_modeled_seconds = 0.15;
+  st.sum_exchange_wait_seconds = 0.05;
+  st.max_blocked_seconds = 0.01;
+  st.blocked_on_rank = 2;
+  s.steps = {st, StepStats{}};
+  return s;
+}
+
+TEST(RunStatsJson, GoldenBytes) {
+  // Pinned bytes: benches and CI diff this schema (EXPERIMENTS.md), so a
+  // change to the encoding must be deliberate.
+  const RunStats s = golden_stats();
+  EXPECT_EQ(s.to_json(/*include_steps=*/true),
+            "{\"wall_seconds\":1.25,\"dd_seconds\":0.10000000000000001,\"total"
+            "_cpu_seconds\":0.33333333333333331,\"max_rank_cpu_seconds\":1.999"
+            "9999999999999e-07,\"modeled_makespan_seconds\":12345.678,\"cpu_by"
+            "_phase\":{\"ia\":0.5,\"rc \\\"drain\\\"\\\\\\u000a\":0.25},\"tota"
+            "l_bytes\":9007199254740993,\"total_messages\":42,\"frame_overhead"
+            "_bytes\":7,\"retransmits\":3,\"modeled_network_seconds\":{\"seria"
+            "lized\":0.001,\"shifted\":1.0000000000000001e-09,\"flood\":3.5},\""
+            "rc_steps\":9,\"rc_drain_cpu_seconds\":0.75,\"rc_drain_modeled_sec"
+            "onds\":0.5,\"rc_exchange_wait_seconds\":0.0625,\"rc_blocked_on_se"
+            "conds\":0.125,\"rc_blocked_on\":[{\"rank\":-1,\"seconds\":0.5},{\""
+            "rank\":2,\"seconds\":0.029999999999999999}],\"histograms\":{\"ser"
+            "ve/point_ns\":{\"count\":10,\"sum\":1234,\"p50\":100.5,\"p95\":20"
+            "0.25,\"p99\":300.125}},\"recoveries\":1,\"recovery_log\":[{\"kind"
+            "\":\"rollback\",\"at_step\":4,\"mttr_seconds\":-1},{\"kind\":\"ad"
+            "opt\",\"at_step\":6,\"mttr_seconds\":0.20000000000000001}],\"inva"
+            "riant_violations\":0,\"cut_edges_initial\":100,\"cut_edges_final\""
+            ":90,\"imbalance_final\":1.0625,\"dv_resident_bytes\":4096,\"dv_co"
+            "ld_bytes\":512,\"dv_promotions\":2,\"dv_demotions\":5,\"dv_decode"
+            "_seconds\":0.0001,\"steps\":[{\"step\":1,\"bytes\":999,\"max_cpu_"
+            "seconds\":0.20000000000000001,\"sum_cpu_seconds\":0.6999999999999"
+            "9996,\"relaxations\":123456789012345,\"poisons\":4,\"repairs\":5,"
+            "\"sum_drain_cpu_seconds\":0.29999999999999999,\"max_drain_modeled"
+            "_seconds\":0.14999999999999999,\"sum_exchange_wait_seconds\":0.05"
+            "0000000000000003,\"blocked_on_rank\":2,\"blocked_seconds\":0.01},"
+            "{\"step\":0,\"bytes\":0,\"max_cpu_seconds\":0,\"sum_cpu_seconds\""
+            ":0,\"relaxations\":0,\"poisons\":0,\"repairs\":0,\"sum_drain_cpu_"
+            "seconds\":0,\"max_drain_modeled_seconds\":0,\"sum_exchange_wait_s"
+            "econds\":0,\"blocked_on_rank\":-1,\"blocked_seconds\":0}]}");
+  EXPECT_EQ(s.to_json(/*include_steps=*/false),
+            "{\"wall_seconds\":1.25,\"dd_seconds\":0.10000000000000001,\"total"
+            "_cpu_seconds\":0.33333333333333331,\"max_rank_cpu_seconds\":1.999"
+            "9999999999999e-07,\"modeled_makespan_seconds\":12345.678,\"cpu_by"
+            "_phase\":{\"ia\":0.5,\"rc \\\"drain\\\"\\\\\\u000a\":0.25},\"tota"
+            "l_bytes\":9007199254740993,\"total_messages\":42,\"frame_overhead"
+            "_bytes\":7,\"retransmits\":3,\"modeled_network_seconds\":{\"seria"
+            "lized\":0.001,\"shifted\":1.0000000000000001e-09,\"flood\":3.5},\""
+            "rc_steps\":9,\"rc_drain_cpu_seconds\":0.75,\"rc_drain_modeled_sec"
+            "onds\":0.5,\"rc_exchange_wait_seconds\":0.0625,\"rc_blocked_on_se"
+            "conds\":0.125,\"rc_blocked_on\":[{\"rank\":-1,\"seconds\":0.5},{\""
+            "rank\":2,\"seconds\":0.029999999999999999}],\"histograms\":{\"ser"
+            "ve/point_ns\":{\"count\":10,\"sum\":1234,\"p50\":100.5,\"p95\":20"
+            "0.25,\"p99\":300.125}},\"recoveries\":1,\"recovery_log\":[{\"kind"
+            "\":\"rollback\",\"at_step\":4,\"mttr_seconds\":-1},{\"kind\":\"ad"
+            "opt\",\"at_step\":6,\"mttr_seconds\":0.20000000000000001}],\"inva"
+            "riant_violations\":0,\"cut_edges_initial\":100,\"cut_edges_final\""
+            ":90,\"imbalance_final\":1.0625,\"dv_resident_bytes\":4096,\"dv_co"
+            "ld_bytes\":512,\"dv_promotions\":2,\"dv_demotions\":5,\"dv_decode"
+            "_seconds\":0.0001}");
 }
 
 TEST(RunStatsJson, SchemaAndDeterminism) {

@@ -4,6 +4,7 @@
 // with the feed on/off, recovery events under injected crashes, and the
 // bounded top-k quality snapshots.
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -72,6 +73,63 @@ TEST(ProgressEvent, NdjsonRoundTrip) {
   EXPECT_DOUBLE_EQ(back.topk_overlap, ev.topk_overlap);
   EXPECT_DOUBLE_EQ(back.kendall_tau, ev.kendall_tau);
   EXPECT_EQ(back.top, ev.top);
+
+  // Integer fields stay exact past 2^53, where a double would round
+  // 2^53 + 1 down to 2^53, and at the edges of their types.
+  obs::ProgressEvent big = ev;
+  big.bytes = (std::uint64_t{1} << 53) + 1;
+  big.settled = std::numeric_limits<std::uint64_t>::max();
+  big.blocked_on_rank = std::numeric_limits<std::int64_t>::min();
+  big.ranks = std::numeric_limits<Rank>::max();
+  big.top = {std::numeric_limits<VertexId>::max()};
+  ASSERT_TRUE(obs::parse_progress_event(obs::to_ndjson(big), back));
+  EXPECT_EQ(back.bytes, big.bytes);
+  EXPECT_EQ(back.settled, big.settled);
+  EXPECT_EQ(back.blocked_on_rank, big.blocked_on_rank);
+  EXPECT_EQ(back.ranks, big.ranks);
+  EXPECT_EQ(back.top, big.top);
+}
+
+TEST(ProgressEvent, GoldenNdjson) {
+  // Pinned bytes: recorded feeds are replayed by later builds (`aacc
+  // tail`), so a change to the encoding must be deliberate.
+  obs::ProgressEvent a = sample_event();
+  a.dirty_fraction = 1.0 / 3.0;
+  a.bytes = (std::uint64_t{1} << 53) + 1;
+  a.blocked_on_seconds = 1e-6;
+  a.blocked_on_rank = 2;
+  a.dv_resident_bytes = 1 << 20;
+  a.dv_cold_bytes = 77;
+  a.dv_promotions = 5;
+  a.dv_demotions = 6;
+  a.has_serve = true;
+  a.serve_queries = 1000000;
+  a.snapshot_age_steps = 2;
+  EXPECT_EQ(obs::to_ndjson(a),
+            "{\"v\":1,\"phase\":\"rc_step\",\"step\":7,\"ranks\":4,\"dirty\":1"
+            "23,\"dirty_fraction\":0.33333333333333331,\"settled\":4567,\"colu"
+            "mns\":9000,\"relaxations\":1000,\"poisons\":17,\"repairs\":9,\"qu"
+            "eue_sum\":321,\"queue_max\":99,\"bytes\":9007199254740993,\"retra"
+            "nsmits\":3,\"exchange_wait_seconds\":0.03125,\"blocked_on_rank\":"
+            "2,\"blocked_on_seconds\":9.9999999999999995e-07,\"recoveries\":1,"
+            "\"dv_resident_bytes\":1048576,\"dv_cold_bytes\":77,\"dv_promotion"
+            "s\":5,\"dv_demotions\":6,\"serve_queries\":1000000,\"snapshot_age"
+            "_steps\":2,\"topk_overlap\":0.875,\"kendall_tau\":-0.25,\"top\":["
+            "5,1,9]}");
+  obs::ProgressEvent b;
+  b.phase = "recovery";
+  b.step = 3;
+  b.ranks = 8;
+  b.recoveries = 2;
+  b.detail = "adopt";
+  EXPECT_EQ(obs::to_ndjson(b),
+            "{\"v\":1,\"phase\":\"recovery\",\"step\":3,\"ranks\":8,\"dirty\":"
+            "0,\"dirty_fraction\":0,\"settled\":0,\"columns\":0,\"relaxations\""
+            ":0,\"poisons\":0,\"repairs\":0,\"queue_sum\":0,\"queue_max\":0,\""
+            "bytes\":0,\"retransmits\":0,\"exchange_wait_seconds\":0,\"blocked"
+            "_on_rank\":-1,\"blocked_on_seconds\":0,\"recoveries\":2,\"dv_resi"
+            "dent_bytes\":0,\"dv_cold_bytes\":0,\"dv_promotions\":0,\"dv_demot"
+            "ions\":0,\"detail\":\"adopt\"}");
 }
 
 TEST(ProgressEvent, RoundTripWithoutOptionalFields) {
@@ -102,6 +160,29 @@ TEST(ProgressEvent, ParserRejectsMalformedInput) {
   // Trailing garbage after the document.
   EXPECT_FALSE(obs::parse_progress_event(
       "{\"v\":1,\"phase\":\"ia\",\"step\":0} trailing", ev));
+  // Integer fields reject what they cannot hold exactly instead of
+  // casting it: negatives, fractions, exponents, non-finite spellings and
+  // out-of-range magnitudes (ranks is an int32, top ids are uint32).
+  for (const char* field :
+       {"\"bytes\":1e300", "\"bytes\":-1", "\"bytes\":1.5",
+        "\"bytes\":18446744073709551616", "\"step\":nan", "\"step\":-1",
+        "\"step\":2.5", "\"step\":inf", "\"ranks\":1e12",
+        "\"ranks\":1000000000000", "\"ranks\":-4", "\"recoveries\":1e3",
+        "\"blocked_on_rank\":0.5", "\"blocked_on_rank\":9223372036854775808",
+        "\"dirty_fraction\":nan", "\"dirty_fraction\":1e400",
+        "\"dirty_fraction\":\"0.5\"", "\"top\":[-1]", "\"top\":[4294967296]",
+        "\"top\":[1.5]", "\"top\":7", "\"detail\":null"}) {
+    const std::string line =
+        std::string("{\"v\":1,\"phase\":\"rc_step\",") + field + "}";
+    EXPECT_FALSE(obs::parse_progress_event(line, ev)) << line;
+  }
+  // Nesting deeper than the reader's bound is rejected, not recursed into
+  // until the stack runs out.
+  constexpr std::size_t kDeep = 2'000'000;
+  const std::string deep = "{\"v\":1,\"phase\":\"ia\",\"deep\":" +
+                           std::string(kDeep, '[') + std::string(kDeep, ']') +
+                           "}";
+  EXPECT_FALSE(obs::parse_progress_event(deep, ev));
 }
 
 TEST(ProgressEvent, ParserToleratesUnknownFields) {

@@ -51,6 +51,18 @@ TEST(FlattenJson, RejectsMalformedDocuments) {
   EXPECT_FALSE(flatten_json("{\"a\":1", out, &err));
   EXPECT_FALSE(flatten_json("{\"a\":1} extra", out, &err));
   EXPECT_FALSE(flatten_json("{'a':1}", out, &err));
+  // RFC 8259 numbers only: no nan/inf/hex, nothing a double cannot hold.
+  EXPECT_FALSE(flatten_json("{\"a\":nan}", out, &err));
+  EXPECT_FALSE(flatten_json("[inf]", out, &err));
+  EXPECT_FALSE(flatten_json("[0x10]", out, &err));
+  EXPECT_FALSE(flatten_json("[1e400]", out, &err));
+  EXPECT_FALSE(flatten_json("[1,]", out, &err));
+  EXPECT_FALSE(flatten_json("{\"a\":1,\"a\":2}", out, &err));
+  // Nesting deeper than the reader's bound is rejected, not recursed into
+  // until the stack runs out.
+  constexpr std::size_t kDeep = 2'000'000;
+  EXPECT_FALSE(flatten_json(std::string(kDeep, '[') + std::string(kDeep, ']'),
+                            out, &err));
 }
 
 // A miniature BENCH_*.json in flattened form.

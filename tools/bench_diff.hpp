@@ -11,145 +11,56 @@
 //     max(threshold, observed historical spread), and
 //   * the absolute delta is above a tiny floor (sub-microsecond jitter on a
 //     near-zero baseline is noise, not signal).
-// Header-only so the unit test exercises the same code the CLI ships.
+// Header-only so the unit test exercises the same code the CLI ships; the
+// JSON reader is the std-only aacc_json library (common/json.hpp).
 #pragma once
 
-#include <cctype>
-#include <cmath>
-#include <cstdlib>
+#include <algorithm>
 #include <map>
 #include <regex>
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
+
 namespace aacc::tools {
+
+namespace detail {
+
+inline void flatten_value(const json::Value& v, const std::string& path,
+                          std::map<std::string, double>& out) {
+  if (const auto* members = v.object()) {
+    for (const auto& [key, child] : *members) {
+      flatten_value(child, path.empty() ? key : path + "." + key, out);
+    }
+  } else if (const auto* items = v.array()) {
+    for (std::size_t i = 0; i < items->size(); ++i) {
+      flatten_value((*items)[i], path + "[" + std::to_string(i) + "]", out);
+    }
+  } else if (const bool* b = v.boolean()) {
+    out[path] = *b ? 1.0 : 0.0;
+  } else if (const auto x = v.number()) {
+    out[path] = *x;
+  }
+}
+
+}  // namespace detail
 
 /// Flattens every numeric/boolean leaf of `text` (a JSON document) into
 /// `out` keyed by dotted path; arrays index as "[i]". Strings and nulls are
 /// skipped — benchmarks compare numbers. Returns false (and sets *err when
-/// given) on malformed JSON.
+/// given) on malformed JSON (common/json.hpp's reader).
 inline bool flatten_json(const std::string& text,
                          std::map<std::string, double>& out,
                          std::string* err = nullptr) {
-  struct Cursor {
-    const char* p;
-    const char* end;
-    void ws() {
-      while (p < end && std::isspace(static_cast<unsigned char>(*p))) ++p;
-    }
-    bool eat(char c) {
-      ws();
-      if (p < end && *p == c) {
-        ++p;
-        return true;
-      }
-      return false;
-    }
-    char peek() {
-      ws();
-      return p < end ? *p : '\0';
-    }
-  };
-  struct Impl {
-    std::map<std::string, double>& out;
-    std::string* err;
-    bool fail(const char* what) {
-      if (err != nullptr) *err = what;
-      return false;
-    }
-    static bool parse_string(Cursor& c, std::string& s) {
-      if (!c.eat('"')) return false;
-      s.clear();
-      while (c.p < c.end && *c.p != '"') {
-        if (*c.p == '\\' && c.p + 1 < c.end) {
-          ++c.p;
-          switch (*c.p) {
-            case 'n': s += '\n'; break;
-            case 't': s += '\t'; break;
-            case '"': s += '"'; break;
-            case '\\': s += '\\'; break;
-            case '/': s += '/'; break;
-            default: s += *c.p; break;  // \uXXXX etc.: keep raw, paths only
-          }
-        } else {
-          s += *c.p;
-        }
-        ++c.p;
-      }
-      if (c.p >= c.end) return false;
-      ++c.p;  // closing quote
-      return true;
-    }
-    bool value(Cursor& c, const std::string& path) {
-      const char ch = c.peek();
-      if (ch == '{') {
-        c.eat('{');
-        if (c.peek() == '}') return c.eat('}');
-        while (true) {
-          std::string key;
-          if (!parse_string(c, key)) return fail("expected object key");
-          if (!c.eat(':')) return fail("expected ':'");
-          if (!value(c, path.empty() ? key : path + "." + key)) return false;
-          if (c.eat(',')) continue;
-          if (c.eat('}')) return true;
-          return fail("expected ',' or '}'");
-        }
-      }
-      if (ch == '[') {
-        c.eat('[');
-        if (c.peek() == ']') return c.eat(']');
-        std::size_t i = 0;
-        while (true) {
-          if (!value(c, path + "[" + std::to_string(i) + "]")) return false;
-          ++i;
-          if (c.eat(',')) continue;
-          if (c.eat(']')) return true;
-          return fail("expected ',' or ']'");
-        }
-      }
-      if (ch == '"') {
-        std::string s;
-        return parse_string(c, s) || fail("bad string");
-      }
-      if (ch == 't') {
-        if (c.end - c.p >= 4 && std::string(c.p, 4) == "true") {
-          c.p += 4;
-          out[path] = 1.0;
-          return true;
-        }
-        return fail("bad literal");
-      }
-      if (ch == 'f') {
-        if (c.end - c.p >= 5 && std::string(c.p, 5) == "false") {
-          c.p += 5;
-          out[path] = 0.0;
-          return true;
-        }
-        return fail("bad literal");
-      }
-      if (ch == 'n') {
-        if (c.end - c.p >= 4 && std::string(c.p, 4) == "null") {
-          c.p += 4;
-          return true;  // skipped: null is not a metric
-        }
-        return fail("bad literal");
-      }
-      char* after = nullptr;
-      const double v = std::strtod(c.p, &after);
-      if (after == c.p || after > c.end) return fail("expected a value");
-      c.p = after;
-      out[path] = v;
-      return true;
-    }
-  };
-  Cursor c{text.data(), text.data() + text.size()};
-  Impl impl{out, err};
-  if (!impl.value(c, "")) return false;
-  c.ws();
-  if (c.p != c.end) {
-    if (err != nullptr) *err = "trailing content after JSON document";
+  json::Value doc;
+  const json::Error e = json::parse(text, doc);
+  if (e != json::Error::kNone) {
+    if (err != nullptr) *err = json::describe(e);
     return false;
   }
+  // Recursion depth is bounded by json::kMaxDepth.
+  detail::flatten_value(doc, "", out);
   return true;
 }
 
