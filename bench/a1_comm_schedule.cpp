@@ -29,19 +29,22 @@ int main() {
     serialized.label = "serialized";
     serialized.x = p;
     serialized.wall_seconds = t.seconds();
-    serialized.modeled_seconds = r.stats.modeled_network_seconds_serialized;
+    serialized.modeled_seconds =
+        modeled_network_seconds(r, rt::SchedulePolicy::kSerialized);
     serialized.mbytes = static_cast<double>(r.stats.total_bytes) / 1e6;
     serialized.rc_steps = r.stats.rc_steps;
     table.add(serialized);
 
     Row shifted = serialized;
     shifted.label = "shifted";
-    shifted.modeled_seconds = r.stats.modeled_network_seconds_shifted;
+    shifted.modeled_seconds =
+        modeled_network_seconds(r, rt::SchedulePolicy::kShifted);
     table.add(shifted);
 
     Row flood = serialized;
     flood.label = "flood";
-    flood.modeled_seconds = r.stats.modeled_network_seconds_flood;
+    flood.modeled_seconds =
+        modeled_network_seconds(r, rt::SchedulePolicy::kFlood);
     table.add(flood);
   }
   table.print_and_save();

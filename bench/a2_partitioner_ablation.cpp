@@ -32,7 +32,7 @@ int main() {
     row.label = partitioner_name(kind);
     row.x = idx++;
     row.wall_seconds = t.seconds();
-    row.modeled_seconds = r.stats.modeled_makespan_seconds;
+    row.modeled_seconds = modeled_makespan_seconds(r);
     row.mbytes = static_cast<double>(r.stats.total_bytes) / 1e6;
     row.rc_steps = r.stats.rc_steps;
     row.extra = static_cast<double>(r.stats.cut_edges_initial);

@@ -46,7 +46,7 @@ int main() {
     row.label = threshold == 0.0 ? "off" : "thr=" + std::to_string(threshold).substr(0, 3);
     row.x = threshold;
     row.wall_seconds = t.seconds();
-    row.modeled_seconds = r.stats.modeled_makespan_seconds;
+    row.modeled_seconds = modeled_makespan_seconds(r);
     row.mbytes = static_cast<double>(r.stats.total_bytes) / 1e6;
     row.rc_steps = r.stats.rc_steps;
     row.extra = r.stats.imbalance_final * 1000.0;

@@ -132,9 +132,11 @@ int main() {
 
     Case c;
     c.dirty = k;
-    c.dense_ns = time_ns([&] { g_sink += assemble_dense(row).size(); });
-    c.sparse_ns = time_ns(
-        [&] { g_sink += assemble_sparse(row, dirty, entries).size(); });
+    c.dense_ns =
+        time_ns([&] { g_sink = g_sink + assemble_dense(row).size(); });
+    c.sparse_ns = time_ns([&] {
+      g_sink = g_sink + assemble_sparse(row, dirty, entries).size();
+    });
     c.speedup = c.dense_ns / c.sparse_ns;
     c.v1_bytes = assemble_dense(row).size();
     c.v2_bytes = assemble_sparse(row, dirty, entries).size();

@@ -176,8 +176,9 @@ int main() {
     std::uint64_t peak = 0;
     RunResult r = run_tracked(g, sched, base, &peak);
     const double wall = t.seconds();
-    if (rep == 0 || r.stats.modeled_makespan_seconds < oracle.modeled_seconds) {
-      oracle.modeled_seconds = r.stats.modeled_makespan_seconds;
+    const double modeled = bench::modeled_makespan_seconds(r);
+    if (rep == 0 || modeled < oracle.modeled_seconds) {
+      oracle.modeled_seconds = modeled;
       oracle.peak_dv_bytes = peak;
       oracle_result = std::move(r);
     }
@@ -202,8 +203,9 @@ int main() {
       std::uint64_t peak = 0;
       const RunResult r = run_tracked(g, sched, cfg, &peak);
       const double wall = t.seconds();
-      if (rep == 0 || r.stats.modeled_makespan_seconds < c.modeled_seconds) {
-        c.modeled_seconds = r.stats.modeled_makespan_seconds;
+      const double modeled = bench::modeled_makespan_seconds(r);
+      if (rep == 0 || modeled < c.modeled_seconds) {
+        c.modeled_seconds = modeled;
         c.peak_dv_bytes = peak;
         c.promotions = r.stats.dv_promotions;
         c.demotions = r.stats.dv_demotions;

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "common/env.hpp"
 #include "common/rng.hpp"
 #include "core/engine.hpp"
@@ -80,7 +81,8 @@ Case run_case(const std::string& label, const Graph& g,
   c.messages = r.stats.total_messages;
   c.frame_bytes = r.stats.frame_overhead_bytes;
   c.retransmits = r.stats.retransmits;
-  c.net_seconds = r.stats.modeled_network_seconds_serialized;
+  c.net_seconds =
+      bench::modeled_network_seconds(r, rt::SchedulePolicy::kSerialized);
   c.stats_json = r.stats.to_json(/*include_steps=*/false);
   return c;
 }
@@ -117,7 +119,8 @@ int main() {
     c.label = "raw";
     c.bytes = r.stats.total_bytes;
     c.messages = r.stats.total_messages;
-    c.net_seconds = r.stats.modeled_network_seconds_serialized;
+    c.net_seconds =
+        bench::modeled_network_seconds(r, rt::SchedulePolicy::kSerialized);
     c.stats_json = r.stats.to_json(/*include_steps=*/false);
     cases.push_back(c);
     cases.push_back(run_case("framed", g, framed, r.closeness));
@@ -263,7 +266,7 @@ int main() {
     for (std::size_t i = 0; i < sz; ++i) {
       buf[i] = static_cast<std::byte>(i * 131 + 7);
     }
-    const double ns = time_ns([&] { g_sink += rt::crc32(buf); });
+    const double ns = time_ns([&] { g_sink = g_sink + rt::crc32(buf); });
     crc_gbps.push_back(static_cast<double>(sz) / ns);  // bytes/ns == GB/s
   }
   std::printf("crc32 throughput: ");

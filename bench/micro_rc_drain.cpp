@@ -2,17 +2,12 @@
 // (DESIGN.md §"Column-sharded parallel recombination drain").
 //
 // Runs the full engine (DD + IA + RC to quiescence) on a scale-free graph
-// at several rc_threads settings and reports, per setting:
-//   * drain_cpu_seconds     — CPU actually burnt inside drain() across all
-//                             ranks and shard workers (the work),
-//   * drain_modeled_seconds — the modeled drain makespan: serial
-//                             partition/merge plus the slowest shard per
-//                             step, summed over ranks' worst steps (the
-//                             1-core stand-in for multicore wall time,
-//                             mirroring the LogGP network model),
-//   * modeled_speedup       — serial modeled drain / this modeled drain.
-// Sharded runs must be bit-identical to serial; the bench asserts it on the
-// closeness doubles and the step count before reporting any number.
+// at several rc_threads settings and reports, per setting, the RC step
+// count and drain_cpu_seconds: CPU actually burnt inside drain() across
+// all ranks and shard workers (the work). Sharded runs must be
+// bit-identical to serial; the bench asserts it on the closeness doubles
+// and the step count before reporting any number. Wall-clock drain cost is
+// measured by perfbench (core.cp.drain_s), not here.
 //
 // Prints a table and writes AACC_OUT_DIR/micro_rc_drain.json (schema:
 // EXPERIMENTS.md §M5). Knobs: AACC_N (vertices, default 8000 — the paper
@@ -39,8 +34,6 @@ using namespace aacc;
 struct Case {
   std::size_t rc_threads;
   double drain_cpu;
-  double drain_modeled;
-  double speedup;
   std::size_t rc_steps;
   bool identical;
 };
@@ -57,7 +50,6 @@ int main() {
 
   std::vector<Case> cases;
   std::vector<double> ref_closeness;
-  double serial_modeled = 0.0;
   std::size_t ref_steps = 0;
   for (const std::size_t t : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     EngineConfig cfg;
@@ -77,18 +69,15 @@ int main() {
     Case c;
     c.rc_threads = t;
     c.drain_cpu = r.stats.rc_drain_cpu_seconds;
-    c.drain_modeled = r.stats.rc_drain_modeled_seconds;
     c.rc_steps = r.stats.rc_steps;
     if (t == 1) {
       ref_closeness = r.closeness;
-      serial_modeled = c.drain_modeled;
       ref_steps = c.rc_steps;
       c.identical = true;
     } else {
       c.identical =
           r.closeness == ref_closeness && r.stats.rc_steps == ref_steps;
     }
-    c.speedup = c.drain_modeled > 0.0 ? serial_modeled / c.drain_modeled : 0.0;
     cases.push_back(c);
     if (!c.identical) {
       std::fprintf(stderr,
@@ -177,12 +166,11 @@ int main() {
       off_min > 0.0 ? 100.0 * std::max(0.0, prog_min - off_min) / off_min : 0.0;
 
   std::printf("\n== micro_rc_drain (n=%u vertices, P=%d ranks) ==\n", n, ranks);
-  std::printf("%10s %9s %15s %19s %9s %10s\n", "rc_threads", "rc_steps",
-              "drain_cpu_s", "drain_modeled_s", "speedup", "identical");
+  std::printf("%10s %9s %15s %10s\n", "rc_threads", "rc_steps",
+              "drain_cpu_s", "identical");
   for (const Case& c : cases) {
-    std::printf("%10zu %9zu %15.3f %19.3f %8.2fx %10s\n", c.rc_threads,
-                c.rc_steps, c.drain_cpu, c.drain_modeled, c.speedup,
-                c.identical ? "yes" : "NO");
+    std::printf("%10zu %9zu %15.3f %10s\n", c.rc_threads, c.rc_steps,
+                c.drain_cpu, c.identical ? "yes" : "NO");
   }
   std::printf("trace overhead: disabled %.2f%% (spread of 2 fastest of 5 off"
               " runs), enabled %.2f%% (drain CPU, best off vs best of 5 on;"
@@ -204,8 +192,6 @@ int main() {
     if (i != 0) json << ',';
     json << "{\"rc_threads\":" << c.rc_threads << ",\"rc_steps\":" << c.rc_steps
          << ",\"drain_cpu_seconds\":" << c.drain_cpu
-         << ",\"drain_modeled_seconds\":" << c.drain_modeled
-         << ",\"modeled_speedup\":" << c.speedup
          << ",\"identical\":" << (c.identical ? "true" : "false") << '}';
   }
   json << "],\"trace_overhead\":{\"ranks\":" << static_cast<int>(trace_ranks)

@@ -1,14 +1,15 @@
 // Shared configuration enums for the anytime anywhere engine.
 #pragma once
 
+#include <iterator>
 #include <stdexcept>
+#include <vector>
 
 #include "common/types.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
 #include "partition/partition.hpp"
 #include "runtime/faults.hpp"
-#include "runtime/logp.hpp"
 
 namespace aacc {
 
@@ -76,6 +77,13 @@ struct RecoveryRung {
   std::size_t budget = 0;
 };
 
+/// The default EngineConfig::recovery_policy ladder. Copying it from a
+/// named array (instead of a braced list in the member initializer) keeps
+/// GCC 12's -Wmaybe-uninitialized false positive out of every TU that
+/// default-constructs an EngineConfig.
+inline constexpr RecoveryRung kDefaultRecoveryPolicy[] = {
+    {RecoveryPolicy::kRollback, 0}, {RecoveryPolicy::kDegrade, 0}};
+
 /// Local refinement inside an RC step (ablation A3).
 enum class RefineMode {
   /// Per-target label-correcting worklist (default).
@@ -121,7 +129,6 @@ struct EngineConfig {
   /// would thrash every step.
   std::uint64_t dv_budget_bytes = 0;
   std::uint64_t seed = 1;
-  rt::LogGPParams logp;
   /// Record per-step closeness snapshots (E3 quality curves). Adds one
   /// gather per RC step.
   bool record_step_quality = false;
@@ -169,8 +176,8 @@ struct EngineConfig {
   /// hard-coded order: rollback whenever periodic checkpoints are enabled,
   /// else degraded ghost mode. Adoption must be opted in, e.g.
   /// {{kAdopt}, {kRollback}, {kDegrade}}.
-  std::vector<RecoveryRung> recovery_policy{
-      {RecoveryPolicy::kRollback, 0}, {RecoveryPolicy::kDegrade, 0}};
+  std::vector<RecoveryRung> recovery_policy = std::vector<RecoveryRung>(
+      std::begin(kDefaultRecoveryPolicy), std::end(kDefaultRecoveryPolicy));
   /// Peer-health supervision deadlines (docs/FAULTS.md §Health
   /// supervision): straggler -> suspect -> dead escalation on awaited
   /// peers, so a wedged rank is *declared* dead after health.dead_after of

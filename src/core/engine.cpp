@@ -24,18 +24,14 @@ void RunStats::accumulate(const RunStats& other) {
   dd_seconds += other.dd_seconds;
   total_cpu_seconds += other.total_cpu_seconds;
   max_rank_cpu_seconds += other.max_rank_cpu_seconds;
-  modeled_makespan_seconds += other.modeled_makespan_seconds;
   for (const auto& [phase, secs] : other.cpu_by_phase) cpu_by_phase[phase] += secs;
   total_bytes += other.total_bytes;
   total_messages += other.total_messages;
   frame_overhead_bytes += other.frame_overhead_bytes;
   retransmits += other.retransmits;
-  modeled_network_seconds_serialized += other.modeled_network_seconds_serialized;
-  modeled_network_seconds_shifted += other.modeled_network_seconds_shifted;
-  modeled_network_seconds_flood += other.modeled_network_seconds_flood;
   rc_steps += other.rc_steps;
+  steps.insert(steps.end(), other.steps.begin(), other.steps.end());
   rc_drain_cpu_seconds += other.rc_drain_cpu_seconds;
-  rc_drain_modeled_seconds += other.rc_drain_modeled_seconds;
   rc_exchange_wait_seconds += other.rc_exchange_wait_seconds;
   rc_blocked_on_seconds += other.rc_blocked_on_seconds;
   for (const auto& [rank, secs] : other.rc_blocked_on_by_rank) {
@@ -214,7 +210,7 @@ RunResult run_driver(const DriverArgs& args) {
   std::optional<PeriodicCheckpoints> periodic;
   if (cfg_.checkpoint_every > 0) periodic.emplace(cfg_.num_ranks);
 
-  rt::World world(cfg_.num_ranks, cfg_.logp, cfg_.transport);
+  rt::World world(cfg_.num_ranks, cfg_.transport);
   if (injector) world.install_faults(&*injector);
   if (cfg_.health.enabled) world.install_health(cfg_.health);
   if (tracer) world.install_tracer(tracer.get());
@@ -775,9 +771,6 @@ RunResult run_driver(const DriverArgs& args) {
       agg.max_cpu_seconds = std::max(agg.max_cpu_seconds, cpu);
       agg.sum_drain_cpu_seconds +=
           log[s].drain_cpu_seconds - prev.drain_cpu_seconds;
-      agg.max_drain_modeled_seconds =
-          std::max(agg.max_drain_modeled_seconds,
-                   log[s].drain_modeled_seconds - prev.drain_modeled_seconds);
       agg.sum_exchange_wait_seconds +=
           log[s].exchange_wait_seconds - prev.exchange_wait_seconds;
       // blocked_on is per-step too: keep the worst single blocked
@@ -791,7 +784,6 @@ RunResult run_driver(const DriverArgs& args) {
   }
   for (const StepStats& s : out.stats.steps) {
     out.stats.rc_drain_cpu_seconds += s.sum_drain_cpu_seconds;
-    out.stats.rc_drain_modeled_seconds += s.max_drain_modeled_seconds;
     out.stats.rc_exchange_wait_seconds += s.sum_exchange_wait_seconds;
     if (s.blocked_on_rank >= 0) {
       out.stats.rc_blocked_on_seconds += s.max_blocked_seconds;
@@ -859,13 +851,8 @@ RunResult run_driver(const DriverArgs& args) {
         .merge(serve->query_ns_rank_of.snapshot());
   }
   merged.gauge("cpu/max_rank").set(world.max_rank_cpu_seconds());
-  merged.gauge("net/modeled_serialized")
-      .set(world.modeled_network_seconds(rt::SchedulePolicy::kSerialized));
-  merged.gauge("net/modeled_shifted")
-      .set(world.modeled_network_seconds(rt::SchedulePolicy::kShifted));
-  merged.gauge("net/modeled_flood")
-      .set(world.modeled_network_seconds(rt::SchedulePolicy::kFlood));
   merged.gauge("time/dd_seconds").set(out.stats.dd_seconds);
+  out.traffic = world.take_message_log();
 
   out.stats.total_cpu_seconds = merged.gauge_value("cpu/total");
   out.stats.max_rank_cpu_seconds = merged.gauge_value("cpu/max_rank");
@@ -887,16 +874,6 @@ RunResult run_driver(const DriverArgs& args) {
       out.stats.cpu_by_phase[name.substr(10)] = gauge.value;
     }
   }
-  out.stats.modeled_network_seconds_serialized =
-      merged.gauge_value("net/modeled_serialized");
-  out.stats.modeled_network_seconds_shifted =
-      merged.gauge_value("net/modeled_shifted");
-  out.stats.modeled_network_seconds_flood =
-      merged.gauge_value("net/modeled_flood");
-  double makespan = 0.0;
-  for (const StepStats& s : out.stats.steps) makespan += s.max_cpu_seconds;
-  out.stats.modeled_makespan_seconds =
-      makespan + out.stats.modeled_network_seconds_serialized;
   // Percentile summaries for every histogram in the merged registry
   // (satellite of docs/OBSERVABILITY.md §Metrics): RunStats::to_json
   // emits them under "histograms".
@@ -1002,13 +979,23 @@ RunResult run_baseline_restart(Graph g, const EventSchedule& schedule,
     result = initial.run();
   }
   RunStats total = result.stats;
+  std::vector<rt::MsgRecord> traffic = std::move(result.traffic);
   for (const EventBatch& batch : schedule) {
     for (const Event& e : batch.events) apply_event(g, e);
     AnytimeEngine rerun(g, cfg);
     result = rerun.run();
     total.accumulate(result.stats);
+    // Number the rerun's collectives past every op id so far, so no cost
+    // model groups messages of two runs into one collective.
+    std::uint32_t op_base = 0;
+    for (const rt::MsgRecord& m : traffic) op_base = std::max(op_base, m.op + 1);
+    for (rt::MsgRecord& m : result.traffic) {
+      m.op += op_base;
+      traffic.push_back(m);
+    }
   }
   result.stats = total;
+  result.traffic = std::move(traffic);
   return result;
 }
 

@@ -13,7 +13,7 @@
 //   RunResult r = engine.run(schedule);
 //   r.closeness[v];             // final exact closeness of v
 //   r.stats.rc_steps;           // refinement steps to quiescence
-//   r.stats.modeled_network_seconds_serialized;
+//   r.traffic;                  // every message sent, for cost models
 #pragma once
 
 #include <iosfwd>
@@ -28,6 +28,7 @@
 #include "graph/graph.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "runtime/logp.hpp"
 
 namespace aacc {
 
@@ -71,11 +72,8 @@ struct StepStats {
   std::uint64_t relaxations = 0;
   std::uint64_t poisons = 0;
   std::uint64_t repairs = 0;
-  /// RC drain cost this step: Σ CPU across ranks (and their drain shards),
-  /// and the slowest rank's modeled parallel-drain makespan (serial
-  /// partition/merge + slowest shard; see StepLocal).
+  /// RC drain cost this step: Σ CPU across ranks and their drain shards.
   double sum_drain_cpu_seconds = 0.0;
-  double max_drain_modeled_seconds = 0.0;
   /// Exchange wait this step: Σ over ranks of wall time blocked in
   /// collective recvs.
   double sum_exchange_wait_seconds = 0.0;
@@ -91,10 +89,6 @@ struct RunStats {
   double dd_seconds = 0.0;        ///< partitioning time (driver)
   double total_cpu_seconds = 0.0; ///< Σ over ranks, all phases
   double max_rank_cpu_seconds = 0.0;
-  /// Modeled "cluster makespan": Σ over RC steps of the slowest rank's CPU,
-  /// plus the modeled network time. This is the wall time a real
-  /// 1-process-per-node cluster would approximately observe.
-  double modeled_makespan_seconds = 0.0;
   std::map<std::string, double> cpu_by_phase;  ///< Σ over ranks per phase
   std::uint64_t total_bytes = 0;
   std::uint64_t total_messages = 0;
@@ -103,15 +97,10 @@ struct RunStats {
   /// TransportConfig::reliable is off (docs/FAULTS.md).
   std::uint64_t frame_overhead_bytes = 0;
   std::uint64_t retransmits = 0;
-  double modeled_network_seconds_serialized = 0.0;  ///< the paper's schedule
-  double modeled_network_seconds_shifted = 0.0;
-  double modeled_network_seconds_flood = 0.0;
   std::size_t rc_steps = 0;
-  /// RC drain totals: CPU actually burnt in drain() across all ranks and
-  /// shards, and the modeled makespan (Σ over steps of the slowest rank's
-  /// modeled drain) — the multicore analogue of modeled_makespan_seconds.
+  /// RC drain total: CPU actually burnt in drain() across all ranks and
+  /// shards.
   double rc_drain_cpu_seconds = 0.0;
-  double rc_drain_modeled_seconds = 0.0;
   /// Blocked-recv wall time across RC steps, summed over ranks and steps.
   double rc_exchange_wait_seconds = 0.0;
   /// Critical-path attribution totals (docs/OBSERVABILITY.md §Causal
@@ -157,7 +146,8 @@ struct RunStats {
   std::map<std::string, HistogramSummary> histogram_summary;
   std::vector<StepStats> steps;
 
-  /// Accumulates another run's costs (baseline restart sums whole reruns).
+  /// Accumulates another run's costs (baseline restart sums whole reruns;
+  /// `steps` are appended, so they cover every run).
   void accumulate(const RunStats& other);
 
   /// Canonical machine-readable form (the schema documented in
@@ -217,6 +207,11 @@ struct RunResult {
   /// Merged span trace (only when EngineConfig::trace.enabled). Export
   /// with obs::write_chrome_trace_file for chrome://tracing / Perfetto.
   obs::Trace trace;
+  /// Traffic ledger: one record per frame the ranks put on the wire
+  /// (retransmits included), over all supervised attempts; op ids never
+  /// repeat across attempts. The engine only records it; the benches
+  /// replay it under LogGP with rt::modeled_network_seconds.
+  std::vector<rt::MsgRecord> traffic;
 
   /// Bounds-checked reads (std::out_of_range past the vertex-id space).
   [[nodiscard]] double closeness_of(VertexId v) const;
@@ -284,7 +279,9 @@ class AnytimeEngine {
 
 /// The paper's baseline: restart the whole static analysis from scratch for
 /// the initial graph and again after every change batch. Costs accumulate
-/// across restarts; the returned centrality values are from the last rerun.
+/// across restarts (steps and traffic are concatenated, each rerun's op ids
+/// numbered past the previous run's); the returned centrality values are
+/// from the last rerun.
 RunResult run_baseline_restart(Graph g, const EventSchedule& schedule,
                                const EngineConfig& cfg);
 

@@ -75,7 +75,6 @@ RankEngine::RankEngine(const Init& init, rt::Comm& comm)
     m_repairs_ = &metrics_->counter("rc/repairs");
     m_steps_ = &metrics_->counter("rc/steps");
     m_drain_cpu_ = &metrics_->gauge("drain/cpu_seconds");
-    m_drain_modeled_ = &metrics_->gauge("drain/modeled_seconds");
     m_queue_depth_ = &metrics_->histogram("rc/drain_queue_depth");
     m_exch_wait_ = &metrics_->gauge("exchange/wait_seconds");
     m_dv_resident_ = &metrics_->gauge("dv/resident_bytes");
@@ -792,9 +791,7 @@ void RankEngine::drain() {
     ShardCtx ctx = serial_ctx();
     ctx.frontier = &rc_shards_[0].next;
     drain_rounds(ctx, rc_shards_[0]);
-    const double dt = thread_cpu_now() - part0;
-    drain_cpu_seconds_ += dt;
-    drain_modeled_seconds_ += dt;
+    drain_cpu_seconds_ += thread_cpu_now() - part0;
   } else {
     for (const auto& [x, t] : repairs_) {
       rc_shards_[t % shards].repairs.emplace_back(x, t);
@@ -831,7 +828,6 @@ void RankEngine::drain() {
     // differs from the serial drain's, but list order is unobservable —
     // every consumer sorts, clears, or filters by the per-column flags.
     const double merge0 = thread_cpu_now();
-    double max_shard_cpu = 0.0;
     double sum_shard_cpu = 0.0;
     for (std::size_t s = 0; s < shards; ++s) {
       RcShard& sh = rc_shards_[s];
@@ -845,13 +841,11 @@ void RankEngine::drain() {
       sh.relaxations = 0;
       sh.dirty_entries = 0;
       sh.repairs_run = 0;
-      max_shard_cpu = std::max(max_shard_cpu, sh.cpu_seconds);
       sum_shard_cpu += sh.cpu_seconds;
       sh.cpu_seconds = 0.0;
     }
     const double merge_cpu = thread_cpu_now() - merge0;
     drain_cpu_seconds_ += partition_cpu + sum_shard_cpu + merge_cpu;
-    drain_modeled_seconds_ += partition_cpu + max_shard_cpu + merge_cpu;
   }
   // Release the frontiers: the first drains after IA queue a large share of
   // the matrix, and keeping that capacity between drains would sit on top
@@ -1872,7 +1866,6 @@ void RankEngine::record_step(std::size_t step) {
   rec.repairs = repair_count_;
   rec.cpu_seconds = thread_cpu_now();
   rec.drain_cpu_seconds = drain_cpu_seconds_;
-  rec.drain_modeled_seconds = drain_modeled_seconds_;
   rec.exchange_wait_seconds = exchange_wait_seconds_;
   rec.blocked_on_seconds = blocked_on_seconds_step_;  // per-step max, not delta
   rec.blocked_on_rank = blocked_on_rank_step_;
@@ -1887,8 +1880,6 @@ void RankEngine::record_step(std::size_t step) {
     m_repairs_->add(repair_count_ - folded_.repairs);
     m_steps_->add(1);
     m_drain_cpu_->add(drain_cpu_seconds_ - folded_.drain_cpu_seconds);
-    m_drain_modeled_->add(drain_modeled_seconds_ -
-                          folded_.drain_modeled_seconds);
     m_exch_wait_->add(exchange_wait_seconds_ - folded_.exchange_wait_seconds);
     // Residency gauges mirror the store's step-boundary accounting; the
     // monotone counters fold as deltas like the algorithm counters above.
@@ -2155,7 +2146,7 @@ std::size_t RankEngine::run_rc() {
       // rank serializes its own copy too: the schedule is replicated, so a
       // survivor whose tree parent died mid-broadcast reconstructs the
       // payload locally instead of stalling — the feed is data the rank
-      // already has, only its distribution cost is being modeled
+      // already has, only its distribution cost is being charged
       // (docs/FAULTS.md §Shard adoption).
       rt::ByteWriter w;
       serialize_events((*schedule_)[next_batch].events, w);

@@ -48,12 +48,8 @@ struct StepLocal {
   std::uint64_t poisons = 0;      ///< entries invalidated
   std::uint64_t repairs = 0;      ///< repair attempts processed
   double cpu_seconds = 0.0;
-  /// CPU spent inside drain(): Σ over shard workers (the work), and the
-  /// modeled parallel makespan (serial partition/merge + slowest shard) —
-  /// the single-core stand-in for multicore drain wall time, mirroring the
-  /// LogGP treatment of ranks. Equal on the serial path.
+  /// CPU spent inside drain(): Σ over the rank thread and shard workers.
   double drain_cpu_seconds = 0.0;
-  double drain_modeled_seconds = 0.0;
   /// Wall seconds this rank spent blocked in exchange recvs (cumulative,
   /// like the counters above).
   double exchange_wait_seconds = 0.0;
@@ -453,7 +449,6 @@ class RankEngine {
   obs::Counter* m_repairs_ = nullptr;
   obs::Counter* m_steps_ = nullptr;
   obs::Gauge* m_drain_cpu_ = nullptr;
-  obs::Gauge* m_drain_modeled_ = nullptr;
   obs::Histogram* m_queue_depth_ = nullptr;
   obs::Gauge* m_exch_wait_ = nullptr;
   obs::Gauge* m_dv_resident_ = nullptr;
@@ -492,7 +487,6 @@ class RankEngine {
   std::uint64_t poisons_ = 0;
   std::uint64_t repair_count_ = 0;
   double drain_cpu_seconds_ = 0.0;      // cumulative, see StepLocal
-  double drain_modeled_seconds_ = 0.0;  // cumulative, see StepLocal
   double exchange_wait_seconds_ = 0.0;  // cumulative, see StepLocal
   double blocked_on_seconds_step_ = 0.0;      // per-step max; record_step resets
   std::int64_t blocked_on_rank_step_ = -1;    // peer behind the max above

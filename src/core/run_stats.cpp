@@ -15,7 +15,6 @@ void RunStats::to_json(std::ostream& os, bool include_steps) const {
      << ",\"dd_seconds\":" << Double{dd_seconds}
      << ",\"total_cpu_seconds\":" << Double{total_cpu_seconds}
      << ",\"max_rank_cpu_seconds\":" << Double{max_rank_cpu_seconds}
-     << ",\"modeled_makespan_seconds\":" << Double{modeled_makespan_seconds}
      << ",\"cpu_by_phase\":{";
   bool first = true;
   for (const auto& [phase, secs] : cpu_by_phase) {
@@ -27,13 +26,8 @@ void RunStats::to_json(std::ostream& os, bool include_steps) const {
      << ",\"total_messages\":" << total_messages
      << ",\"frame_overhead_bytes\":" << frame_overhead_bytes
      << ",\"retransmits\":" << retransmits
-     << ",\"modeled_network_seconds\":{\"serialized\":"
-     << Double{modeled_network_seconds_serialized}
-     << ",\"shifted\":" << Double{modeled_network_seconds_shifted}
-     << ",\"flood\":" << Double{modeled_network_seconds_flood}
-     << "},\"rc_steps\":" << rc_steps
+     << ",\"rc_steps\":" << rc_steps
      << ",\"rc_drain_cpu_seconds\":" << Double{rc_drain_cpu_seconds}
-     << ",\"rc_drain_modeled_seconds\":" << Double{rc_drain_modeled_seconds}
      << ",\"rc_exchange_wait_seconds\":" << Double{rc_exchange_wait_seconds}
      << ",\"rc_blocked_on_seconds\":" << Double{rc_blocked_on_seconds}
      << ",\"rc_blocked_on\":[";
@@ -79,8 +73,6 @@ void RunStats::to_json(std::ostream& os, bool include_steps) const {
          << ",\"relaxations\":" << s.relaxations
          << ",\"poisons\":" << s.poisons << ",\"repairs\":" << s.repairs
          << ",\"sum_drain_cpu_seconds\":" << Double{s.sum_drain_cpu_seconds}
-         << ",\"max_drain_modeled_seconds\":"
-         << Double{s.max_drain_modeled_seconds}
          << ",\"sum_exchange_wait_seconds\":"
          << Double{s.sum_exchange_wait_seconds}
          << ",\"blocked_on_rank\":" << s.blocked_on_rank
@@ -109,9 +101,8 @@ std::string RunStats::summary() const {
   char buf[512];
   std::ostringstream os;
   std::snprintf(buf, sizeof(buf),
-                "wall %.3f s  (dd %.3f s)  cpu %.3f s  modeled makespan %.3f s\n",
-                wall_seconds, dd_seconds, total_cpu_seconds,
-                modeled_makespan_seconds);
+                "wall %.3f s  (dd %.3f s)  cpu %.3f s\n", wall_seconds,
+                dd_seconds, total_cpu_seconds);
   os << buf;
   std::snprintf(buf, sizeof(buf),
                 "rc steps %zu  relaxations %llu  poisons %llu  repairs %llu\n",
@@ -119,12 +110,9 @@ std::string RunStats::summary() const {
                 static_cast<unsigned long long>(poisons),
                 static_cast<unsigned long long>(repairs));
   os << buf;
-  std::snprintf(
-      buf, sizeof(buf),
-      "traffic %.2f MB in %llu msgs  modeled net %.3f s (serialized)\n",
-      static_cast<double>(total_bytes) / 1e6,
-      static_cast<unsigned long long>(total_messages),
-      modeled_network_seconds_serialized);
+  std::snprintf(buf, sizeof(buf), "traffic %.2f MB in %llu msgs\n",
+                static_cast<double>(total_bytes) / 1e6,
+                static_cast<unsigned long long>(total_messages));
   os << buf;
   if (retransmits > 0 || frame_overhead_bytes > 0 || recoveries > 0) {
     std::snprintf(buf, sizeof(buf),
@@ -135,10 +123,9 @@ std::string RunStats::summary() const {
     os << buf;
   }
   std::snprintf(buf, sizeof(buf),
-                "cut edges %zu -> %zu  imbalance %.3f  drain cpu %.3f s "
-                "(modeled %.3f s)",
+                "cut edges %zu -> %zu  imbalance %.3f  drain cpu %.3f s",
                 cut_edges_initial, cut_edges_final, imbalance_final,
-                rc_drain_cpu_seconds, rc_drain_modeled_seconds);
+                rc_drain_cpu_seconds);
   os << buf;
   return os.str();
 }

@@ -23,8 +23,8 @@ struct Counter {
   void add(std::uint64_t n) { value += n; }
 };
 
-/// Floating-point accumulator / last-value holder (CPU seconds, modeled
-/// network seconds, imbalance ratios).
+/// Floating-point accumulator / last-value holder (CPU seconds, wait
+/// seconds, byte gauges).
 struct Gauge {
   double value = 0.0;
   void add(double v) { value += v; }

@@ -4,6 +4,7 @@
 #include <ctime>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "obs/causal.hpp"
 #include "runtime/serialize.hpp"
@@ -232,7 +233,8 @@ constexpr std::int32_t collective_tag(std::uint32_t op_seq) {
 }  // namespace
 
 Comm::Comm(World* world, Rank rank)
-    : world_(world), rank_(rank), flow_attempt_(world->run_attempt()) {
+    : world_(world), rank_(rank), op_seq_(world->op_base_),
+      flow_attempt_(world->run_attempt()) {
   last_cpu_mark_ = thread_cpu_seconds();
   if (world_->transport().reliable) {
     next_seq_.assign(static_cast<std::size_t>(world_->size()), 0);
@@ -793,8 +795,8 @@ void Comm::barrier() { (void)all_reduce_sum(0); }
 
 // ------------------------------------------------------------------ World
 
-World::World(Rank size, LogGPParams params, TransportConfig transport)
-    : size_(size), params_(params), transport_(transport) {
+World::World(Rank size, TransportConfig transport)
+    : size_(size), transport_(transport) {
   AACC_CHECK(size >= 1);
   mailboxes_.reserve(static_cast<std::size_t>(size));
   for (Rank r = 0; r < size; ++r) {
@@ -914,8 +916,12 @@ World::RunReport World::run_contained(const std::function<void(Comm&)>& fn) {
   for (auto& t : threads) t.join();
 
   // Merge ledgers before error propagation so partial accounting survives.
+  // The next run's collectives number on past every op id issued here, so
+  // a replay after a failed attempt never shares an op id with it.
   for (Rank r = 0; r < size_; ++r) {
-    const RankLedger& src = comms[static_cast<std::size_t>(r)]->ledger();
+    const Comm& comm = *comms[static_cast<std::size_t>(r)];
+    op_base_ = std::max(op_base_, comm.op_seq_);
+    const RankLedger& src = comm.ledger();
     RankLedger& dst = ledgers_[static_cast<std::size_t>(r)];
     dst.bytes_sent += src.bytes_sent;
     dst.bytes_received += src.bytes_received;
@@ -941,8 +947,9 @@ void World::append_log(const MsgRecord& m) {
   log_.push_back(m);
 }
 
-double World::modeled_network_seconds(SchedulePolicy policy) const {
-  return rt::modeled_network_seconds(log_, params_, policy, size_);
+std::vector<MsgRecord> World::take_message_log() {
+  const std::lock_guard lock(log_mu_);
+  return std::exchange(log_, {});
 }
 
 double World::total_cpu_seconds() const {

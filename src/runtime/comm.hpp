@@ -11,8 +11,9 @@
 //   * all_reduce (sum/max/or)
 //
 // Every Comm records a per-rank ledger (bytes, messages, per-phase thread
-// CPU seconds) and appends to a message log that logp.hpp replays to model
-// network time under the paper's serialized schedule or alternatives.
+// CPU seconds) and appends to the World's message log. The engine hands
+// that log to RunResult::traffic; benches replay it under logp.hpp's LogGP
+// model (the paper's serialized schedule or alternatives).
 //
 // Fault tolerance (docs/FAULTS.md): with TransportConfig::reliable on (or a
 // FaultInjector installed), every payload travels as a checksummed frame
@@ -302,7 +303,9 @@ class Comm {
   RankLedger ledger_;
   std::string phase_ = "init";
   double last_cpu_mark_ = 0.0;
-  std::uint32_t op_seq_ = 0;  // collective sequence number (SPMD lockstep)
+  /// Collective sequence number (SPMD lockstep). Starts at the World's op
+  /// base, so op ids stay unique across the attempts of one World.
+  std::uint32_t op_seq_ = 0;
   /// Reliable transport: next outbound seqno per destination, and frames
   /// held in "the network" by delay injection.
   std::vector<std::uint32_t> next_seq_;
@@ -403,8 +406,7 @@ class World {
     [[nodiscard]] bool ok() const { return failed.empty(); }
   };
 
-  explicit World(Rank size, LogGPParams params = {},
-                 TransportConfig transport = {});
+  explicit World(Rank size, TransportConfig transport = {});
 
   /// Runs one SPMD program. May be called repeatedly; ledgers accumulate.
   /// If any rank throws, rethrows one error (preferring a root cause over
@@ -462,14 +464,16 @@ class World {
   [[nodiscard]] std::vector<Rank> failed_ranks() const;
 
   [[nodiscard]] Rank size() const { return size_; }
-  [[nodiscard]] const LogGPParams& params() const { return params_; }
   [[nodiscard]] const TransportConfig& transport() const { return transport_; }
   [[nodiscard]] FaultInjector* injector() const { return injector_; }
 
-  /// Per-rank ledgers, merged message log, and modeled network time.
+  /// Per-rank ledgers and the merged message log. Op ids in the log are
+  /// unique across runs of this World: each run's collectives number on
+  /// from the highest op id any rank reached in the previous run.
   [[nodiscard]] const std::vector<RankLedger>& ledgers() const { return ledgers_; }
   [[nodiscard]] const std::vector<MsgRecord>& message_log() const { return log_; }
-  [[nodiscard]] double modeled_network_seconds(SchedulePolicy policy) const;
+  /// Moves the message log out (the World's log is left empty).
+  [[nodiscard]] std::vector<MsgRecord> take_message_log();
 
   /// Sum over ranks / max over ranks of compute CPU seconds.
   [[nodiscard]] double total_cpu_seconds() const;
@@ -487,13 +491,13 @@ class World {
   void append_log(const MsgRecord& m);
 
   Rank size_;
-  LogGPParams params_;
   TransportConfig transport_;
   HealthConfig health_;
   FaultInjector* injector_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   bool flow_stamping_ = false;
   std::uint32_t run_attempt_ = 0;
+  std::uint32_t op_base_ = 0;  // first collective op id of the next run
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<RankLedger> ledgers_;
   std::vector<MsgRecord> log_;

@@ -1,12 +1,14 @@
 // The "anytime" contract: interrupted snapshots are valid lower bounds of
 // harmonic centrality whose quality is monotone non-decreasing over RC
-// steps for additive workloads, and the modeled accounting behaves
-// sensibly. (Classic closeness 1/Σd is only meaningful at full coverage —
-// partial sums overshoot — which is why the quality curve uses harmonic.)
+// steps for additive workloads, and the traffic ledger the benches' cost
+// model replays behaves sensibly. (Classic closeness 1/Σd is only
+// meaningful at full coverage — partial sums overshoot — which is why the
+// quality curve uses harmonic.)
 #include <gtest/gtest.h>
 
 #include "analysis/closeness.hpp"
 #include "analysis/quality.hpp"
+#include "bench_util.hpp"
 #include "test_util.hpp"
 
 namespace aacc {
@@ -70,10 +72,14 @@ TEST(Anytime, AccountingIsPopulated) {
   EXPECT_GT(r.stats.total_bytes, 0u);
   EXPECT_GT(r.stats.total_messages, 0u);
   EXPECT_GT(r.stats.rc_steps, 0u);
-  EXPECT_GT(r.stats.modeled_network_seconds_serialized, 0.0);
+  const double serialized = rt::modeled_network_seconds(
+      r.traffic, {}, rt::SchedulePolicy::kSerialized, cfg.num_ranks);
+  EXPECT_GT(serialized, 0.0);
   // The paper's serialized schedule is never faster than the shift schedule.
-  EXPECT_GE(r.stats.modeled_network_seconds_serialized,
-            r.stats.modeled_network_seconds_shifted);
+  EXPECT_GE(serialized,
+            rt::modeled_network_seconds(r.traffic, {},
+                                        rt::SchedulePolicy::kShifted,
+                                        cfg.num_ranks));
   EXPECT_EQ(r.stats.steps.size(), r.stats.rc_steps);
   EXPECT_GT(r.stats.cut_edges_initial, 0u);
   // Static run: the distribution does not change.
@@ -106,6 +112,45 @@ TEST(Anytime, BaselineRestartCostsScaleWithBatches) {
   // 2 full runs vs 4 full runs: strictly more RC steps and bytes.
   EXPECT_GT(r3.stats.rc_steps, r1.stats.rc_steps);
   EXPECT_GT(r3.stats.total_bytes, r1.stats.total_bytes);
+}
+
+TEST(Anytime, BaselineRestartKeepsEveryRunsStepsAndTraffic) {
+  // Three batches = four full runs. The baseline's steps and traffic cover
+  // all of them, so the bench-side modeled makespan is the sum of the
+  // per-run makespans.
+  const Graph g = make_ba(120, 2, 31);
+  EngineConfig cfg;
+  cfg.num_ranks = 4;
+  EventSchedule three;
+  for (VertexId u = 20; three.size() < 3; ++u) {
+    if (!g.has_edge(u, u + 57)) {
+      three.push_back({three.size() + 1, {EdgeAddEvent{u, u + 57, 1}}});
+    }
+  }
+  const RunResult rb = run_baseline_restart(g, three, cfg);
+  ASSERT_EQ(rb.stats.steps.size(), rb.stats.rc_steps);
+
+  // Rerun each restart alone: steps and traffic are deterministic, step CPU
+  // is not, so each run's CPU share is read from the baseline's own steps.
+  Graph cur = g;
+  std::size_t first = 0;
+  double per_run_sum = 0.0;
+  for (std::size_t run = 0; run <= three.size(); ++run) {
+    if (run > 0) apply_schedule(cur, {three[run - 1]});
+    AnytimeEngine engine(cur, cfg);
+    const RunResult r = engine.run();
+    ASSERT_LE(first + r.stats.rc_steps, rb.stats.steps.size());
+    double cpu = 0.0;
+    for (std::size_t s = first; s < first + r.stats.rc_steps; ++s) {
+      cpu += rb.stats.steps[s].max_cpu_seconds;
+    }
+    first += r.stats.rc_steps;
+    per_run_sum += cpu + bench::modeled_network_seconds(
+                             r, rt::SchedulePolicy::kSerialized);
+  }
+  EXPECT_EQ(first, rb.stats.steps.size());
+  EXPECT_NEAR(bench::modeled_makespan_seconds(rb), per_run_sum,
+              1e-12 * per_run_sum);
 }
 
 TEST(Anytime, BaselineRestartMatchesReferenceAfterChanges) {

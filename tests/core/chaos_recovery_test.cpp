@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <tuple>
 
 #include "analysis/shortest_paths.hpp"
 #include "test_util.hpp"
@@ -159,6 +161,32 @@ TEST(Recovery, CrashBeforeAnySnapshotRestartsFromScratch) {
   const RunResult recovered = engine.run();
   EXPECT_EQ(recovered.stats.recoveries, 1u);
   EXPECT_EQ(recovered.apsp, clean.apsp);
+}
+
+TEST(Recovery, TrafficOpIdsStayUniqueAcrossAttempts) {
+  // A rollback replays on the same World with fresh Comms. Their
+  // collectives must number on past the failed attempt's, or a cost model
+  // replaying RunResult::traffic would merge collectives of two attempts
+  // into one. Crash-only plan: no drops, so no retransmitted duplicates.
+  const Graph g = make_er(130, 390, 13, WeightRange{1, 3});
+  EngineConfig cfg = base_cfg(4);
+  cfg.checkpoint_every = 2;
+  cfg.recovery_policy = {{RecoveryPolicy::kRollback, 0}};
+  cfg.faults.crashes.push_back({1, 3});
+
+  AnytimeEngine engine(g, cfg);
+  const RunResult r = engine.run(mixed_schedule(g, 31));
+  ASSERT_EQ(r.stats.recoveries, 1u);
+  std::set<std::tuple<std::uint32_t, Rank, Rank>> seen;
+  std::size_t all_to_all = 0;
+  std::size_t repeated = 0;
+  for (const rt::MsgRecord& m : r.traffic) {
+    if (m.kind != rt::OpKind::kAllToAll) continue;
+    ++all_to_all;
+    if (!seen.emplace(m.op, m.src, m.dst).second) ++repeated;
+  }
+  EXPECT_GT(all_to_all, 0u);
+  EXPECT_EQ(repeated, 0u);
 }
 
 TEST(Recovery, CrashAtEveryStepSweep) {

@@ -221,7 +221,9 @@ TEST(TieredLru, CollectDirtyEntriesAgreesHotAndCold) {
     for (std::size_t i = 0; i < hot.size(); ++i) {
       EXPECT_TRUE(row.test_flag(hot[i].first, DvRow::kDirty));
       EXPECT_EQ(hot[i].second, row.dist(hot[i].first));
-      if (i > 0) EXPECT_LT(hot[i - 1].first, hot[i].first);
+      if (i > 0) {
+        EXPECT_LT(hot[i - 1].first, hot[i].first);
+      }
     }
   }
 }

@@ -544,7 +544,7 @@ TEST(HealthFlow, DeathMessageNamesTheAwaitedFlow) {
   tc.reliable = true;
   tc.recv_timeout = std::chrono::milliseconds(30000);
   tc.retry_backoff = std::chrono::microseconds(1);
-  rt::World world(2, {}, tc);
+  rt::World world(2, tc);
   rt::HealthConfig hc;
   hc.enabled = true;
   hc.straggler_after = std::chrono::milliseconds(10);

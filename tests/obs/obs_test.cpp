@@ -321,7 +321,9 @@ TEST(EngineTrace, StructurallyValidAndComplete) {
   for (const obs::Trace::Entry& e : r.trace.events) {
     const std::pair<int, int> track{e.pid, e.tid};
     const auto it = last_ts.find(track);
-    if (it != last_ts.end()) EXPECT_GE(e.ev.ts_ns, it->second);
+    if (it != last_ts.end()) {
+      EXPECT_GE(e.ev.ts_ns, it->second);
+    }
     last_ts[track] = e.ev.ts_ns;
     if (e.ev.kind == obs::EventKind::kBegin) {
       ++depth[track];
@@ -415,8 +417,6 @@ TEST(EngineMetrics, RegistryAgreesWithStats) {
                    r.stats.total_cpu_seconds);
   EXPECT_DOUBLE_EQ(r.metrics.gauge_value("cpu/max_rank"),
                    r.stats.max_rank_cpu_seconds);
-  EXPECT_DOUBLE_EQ(r.metrics.gauge_value("net/modeled_serialized"),
-                   r.stats.modeled_network_seconds_serialized);
 
   std::uint64_t relaxations = 0;
   std::uint64_t poisons = 0;
@@ -443,18 +443,13 @@ RunStats golden_stats() {
   s.dd_seconds = 0.1;
   s.total_cpu_seconds = 1.0 / 3.0;
   s.max_rank_cpu_seconds = 2e-7;
-  s.modeled_makespan_seconds = 12345.678;
   s.cpu_by_phase = {{"ia", 0.5}, {"rc \"drain\"\\\n", 0.25}};
   s.total_bytes = (std::uint64_t{1} << 53) + 1;
   s.total_messages = 42;
   s.frame_overhead_bytes = 7;
   s.retransmits = 3;
-  s.modeled_network_seconds_serialized = 0.001;
-  s.modeled_network_seconds_shifted = 1e-9;
-  s.modeled_network_seconds_flood = 3.5;
   s.rc_steps = 9;
   s.rc_drain_cpu_seconds = 0.75;
-  s.rc_drain_modeled_seconds = 0.5;
   s.rc_exchange_wait_seconds = 0.0625;
   s.rc_blocked_on_seconds = 0.125;
   s.rc_blocked_on_by_rank = {{-1, 0.5}, {2, 0.03}};
@@ -478,7 +473,6 @@ RunStats golden_stats() {
   st.poisons = 4;
   st.repairs = 5;
   st.sum_drain_cpu_seconds = 0.3;
-  st.max_drain_modeled_seconds = 0.15;
   st.sum_exchange_wait_seconds = 0.05;
   st.max_blocked_seconds = 0.01;
   st.blocked_on_rank = 2;
@@ -491,54 +485,47 @@ TEST(RunStatsJson, GoldenBytes) {
   // change to the encoding must be deliberate.
   const RunStats s = golden_stats();
   EXPECT_EQ(s.to_json(/*include_steps=*/true),
-            "{\"wall_seconds\":1.25,\"dd_seconds\":0.10000000000000001,\"total"
-            "_cpu_seconds\":0.33333333333333331,\"max_rank_cpu_seconds\":1.999"
-            "9999999999999e-07,\"modeled_makespan_seconds\":12345.678,\"cpu_by"
-            "_phase\":{\"ia\":0.5,\"rc \\\"drain\\\"\\\\\\u000a\":0.25},\"tota"
-            "l_bytes\":9007199254740993,\"total_messages\":42,\"frame_overhead"
-            "_bytes\":7,\"retransmits\":3,\"modeled_network_seconds\":{\"seria"
-            "lized\":0.001,\"shifted\":1.0000000000000001e-09,\"flood\":3.5},\""
-            "rc_steps\":9,\"rc_drain_cpu_seconds\":0.75,\"rc_drain_modeled_sec"
-            "onds\":0.5,\"rc_exchange_wait_seconds\":0.0625,\"rc_blocked_on_se"
-            "conds\":0.125,\"rc_blocked_on\":[{\"rank\":-1,\"seconds\":0.5},{\""
-            "rank\":2,\"seconds\":0.029999999999999999}],\"histograms\":{\"ser"
-            "ve/point_ns\":{\"count\":10,\"sum\":1234,\"p50\":100.5,\"p95\":20"
-            "0.25,\"p99\":300.125}},\"recoveries\":1,\"recovery_log\":[{\"kind"
-            "\":\"rollback\",\"at_step\":4,\"mttr_seconds\":-1},{\"kind\":\"ad"
-            "opt\",\"at_step\":6,\"mttr_seconds\":0.20000000000000001}],\"inva"
-            "riant_violations\":0,\"cut_edges_initial\":100,\"cut_edges_final\""
-            ":90,\"imbalance_final\":1.0625,\"dv_resident_bytes\":4096,\"dv_co"
-            "ld_bytes\":512,\"dv_promotions\":2,\"dv_demotions\":5,\"dv_decode"
-            "_seconds\":0.0001,\"steps\":[{\"step\":1,\"bytes\":999,\"max_cpu_"
-            "seconds\":0.20000000000000001,\"sum_cpu_seconds\":0.6999999999999"
-            "9996,\"relaxations\":123456789012345,\"poisons\":4,\"repairs\":5,"
-            "\"sum_drain_cpu_seconds\":0.29999999999999999,\"max_drain_modeled"
-            "_seconds\":0.14999999999999999,\"sum_exchange_wait_seconds\":0.05"
-            "0000000000000003,\"blocked_on_rank\":2,\"blocked_seconds\":0.01},"
-            "{\"step\":0,\"bytes\":0,\"max_cpu_seconds\":0,\"sum_cpu_seconds\""
-            ":0,\"relaxations\":0,\"poisons\":0,\"repairs\":0,\"sum_drain_cpu_"
-            "seconds\":0,\"max_drain_modeled_seconds\":0,\"sum_exchange_wait_s"
-            "econds\":0,\"blocked_on_rank\":-1,\"blocked_seconds\":0}]}");
+            "{\"wall_seconds\":1.25,\"dd_seconds\":0.10000000000000001,\"total_"
+            "cpu_seconds\":0.33333333333333331,\"max_rank_cpu_seconds\":1.99999"
+            "99999999999e-07,\"cpu_by_phase\":{\"ia\":0.5,\"rc \\\"drain\\\"\\"
+            "\\\\u000a\":0.25},\"total_bytes\":9007199254740993,\"total_message"
+            "s\":42,\"frame_overhead_bytes\":7,\"retransmits\":3,\"rc_steps\":9"
+            ",\"rc_drain_cpu_seconds\":0.75,\"rc_exchange_wait_seconds\":0.0625"
+            ",\"rc_blocked_on_seconds\":0.125,\"rc_blocked_on\":[{\"rank\":-1,"
+            "\"seconds\":0.5},{\"rank\":2,\"seconds\":0.029999999999999999}],\""
+            "histograms\":{\"serve/point_ns\":{\"count\":10,\"sum\":1234,\"p50"
+            "\":100.5,\"p95\":200.25,\"p99\":300.125}},\"recoveries\":1,\"recov"
+            "ery_log\":[{\"kind\":\"rollback\",\"at_step\":4,\"mttr_seconds\":-"
+            "1},{\"kind\":\"adopt\",\"at_step\":6,\"mttr_seconds\":0.2000000000"
+            "0000001}],\"invariant_violations\":0,\"cut_edges_initial\":100,\"c"
+            "ut_edges_final\":90,\"imbalance_final\":1.0625,\"dv_resident_bytes"
+            "\":4096,\"dv_cold_bytes\":512,\"dv_promotions\":2,\"dv_demotions\""
+            ":5,\"dv_decode_seconds\":0.0001,\"steps\":[{\"step\":1,\"bytes\":9"
+            "99,\"max_cpu_seconds\":0.20000000000000001,\"sum_cpu_seconds\":0.6"
+            "9999999999999996,\"relaxations\":123456789012345,\"poisons\":4,\"r"
+            "epairs\":5,\"sum_drain_cpu_seconds\":0.29999999999999999,\"sum_exc"
+            "hange_wait_seconds\":0.050000000000000003,\"blocked_on_rank\":2,\""
+            "blocked_seconds\":0.01},{\"step\":0,\"bytes\":0,\"max_cpu_seconds"
+            "\":0,\"sum_cpu_seconds\":0,\"relaxations\":0,\"poisons\":0,\"repai"
+            "rs\":0,\"sum_drain_cpu_seconds\":0,\"sum_exchange_wait_seconds\":0"
+            ",\"blocked_on_rank\":-1,\"blocked_seconds\":0}]}");
   EXPECT_EQ(s.to_json(/*include_steps=*/false),
-            "{\"wall_seconds\":1.25,\"dd_seconds\":0.10000000000000001,\"total"
-            "_cpu_seconds\":0.33333333333333331,\"max_rank_cpu_seconds\":1.999"
-            "9999999999999e-07,\"modeled_makespan_seconds\":12345.678,\"cpu_by"
-            "_phase\":{\"ia\":0.5,\"rc \\\"drain\\\"\\\\\\u000a\":0.25},\"tota"
-            "l_bytes\":9007199254740993,\"total_messages\":42,\"frame_overhead"
-            "_bytes\":7,\"retransmits\":3,\"modeled_network_seconds\":{\"seria"
-            "lized\":0.001,\"shifted\":1.0000000000000001e-09,\"flood\":3.5},\""
-            "rc_steps\":9,\"rc_drain_cpu_seconds\":0.75,\"rc_drain_modeled_sec"
-            "onds\":0.5,\"rc_exchange_wait_seconds\":0.0625,\"rc_blocked_on_se"
-            "conds\":0.125,\"rc_blocked_on\":[{\"rank\":-1,\"seconds\":0.5},{\""
-            "rank\":2,\"seconds\":0.029999999999999999}],\"histograms\":{\"ser"
-            "ve/point_ns\":{\"count\":10,\"sum\":1234,\"p50\":100.5,\"p95\":20"
-            "0.25,\"p99\":300.125}},\"recoveries\":1,\"recovery_log\":[{\"kind"
-            "\":\"rollback\",\"at_step\":4,\"mttr_seconds\":-1},{\"kind\":\"ad"
-            "opt\",\"at_step\":6,\"mttr_seconds\":0.20000000000000001}],\"inva"
-            "riant_violations\":0,\"cut_edges_initial\":100,\"cut_edges_final\""
-            ":90,\"imbalance_final\":1.0625,\"dv_resident_bytes\":4096,\"dv_co"
-            "ld_bytes\":512,\"dv_promotions\":2,\"dv_demotions\":5,\"dv_decode"
-            "_seconds\":0.0001}");
+            "{\"wall_seconds\":1.25,\"dd_seconds\":0.10000000000000001,\"total_"
+            "cpu_seconds\":0.33333333333333331,\"max_rank_cpu_seconds\":1.99999"
+            "99999999999e-07,\"cpu_by_phase\":{\"ia\":0.5,\"rc \\\"drain\\\"\\"
+            "\\\\u000a\":0.25},\"total_bytes\":9007199254740993,\"total_message"
+            "s\":42,\"frame_overhead_bytes\":7,\"retransmits\":3,\"rc_steps\":9"
+            ",\"rc_drain_cpu_seconds\":0.75,\"rc_exchange_wait_seconds\":0.0625"
+            ",\"rc_blocked_on_seconds\":0.125,\"rc_blocked_on\":[{\"rank\":-1,"
+            "\"seconds\":0.5},{\"rank\":2,\"seconds\":0.029999999999999999}],\""
+            "histograms\":{\"serve/point_ns\":{\"count\":10,\"sum\":1234,\"p50"
+            "\":100.5,\"p95\":200.25,\"p99\":300.125}},\"recoveries\":1,\"recov"
+            "ery_log\":[{\"kind\":\"rollback\",\"at_step\":4,\"mttr_seconds\":-"
+            "1},{\"kind\":\"adopt\",\"at_step\":6,\"mttr_seconds\":0.2000000000"
+            "0000001}],\"invariant_violations\":0,\"cut_edges_initial\":100,\"c"
+            "ut_edges_final\":90,\"imbalance_final\":1.0625,\"dv_resident_bytes"
+            "\":4096,\"dv_cold_bytes\":512,\"dv_promotions\":2,\"dv_demotions\""
+            ":5,\"dv_decode_seconds\":0.0001}");
 }
 
 TEST(RunStatsJson, SchemaAndDeterminism) {
@@ -553,7 +540,7 @@ TEST(RunStatsJson, SchemaAndDeterminism) {
   EXPECT_EQ(with_steps, r.stats.to_json());
   for (const char* key :
        {"\"wall_seconds\"", "\"total_cpu_seconds\"", "\"cpu_by_phase\"",
-        "\"total_bytes\"", "\"modeled_network_seconds\"", "\"rc_steps\"",
+        "\"total_bytes\"", "\"rc_drain_cpu_seconds\"", "\"rc_steps\"",
         "\"recoveries\"", "\"imbalance_final\""}) {
     EXPECT_NE(with_steps.find(key), std::string::npos) << key;
     EXPECT_NE(without.find(key), std::string::npos) << key;

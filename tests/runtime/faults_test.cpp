@@ -249,7 +249,7 @@ TEST(Transport, CollectivesAreExactUnderMessageFaults) {
   FaultInjector inj(plan);
 
   const Rank P = 4;
-  World world(P, {}, reliable_transport());
+  World world(P, reliable_transport());
   world.install_faults(&inj);
 
   std::vector<int> failures(static_cast<std::size_t>(P), 0);
@@ -290,7 +290,7 @@ TEST(Transport, CollectivesAreExactUnderMessageFaults) {
 TEST(Transport, TimedRecvRaisesTimeoutError) {
   TransportConfig t;
   t.recv_timeout = std::chrono::milliseconds(50);
-  World world(2, {}, t);
+  World world(2, t);
   EXPECT_THROW(world.run([&](Comm& comm) {
     if (comm.rank() == 0) (void)comm.recv(1, 99);  // never sent
   }),
@@ -309,7 +309,7 @@ TEST(Transport, FrameOverheadIsZeroWhenDisabled) {
 }
 
 TEST(Transport, FrameOverheadIsChargedWhenEnabled) {
-  World world(2, {}, reliable_transport());
+  World world(2, reliable_transport());
   world.run([&](Comm& comm) {
     if (comm.rank() == 0) comm.send(1, 9, std::vector<std::byte>(64));
     if (comm.rank() == 1) (void)comm.recv(0, 9);

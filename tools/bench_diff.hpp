@@ -69,10 +69,9 @@ struct DiffOptions {
   double threshold_pct = 10.0;
   /// Only metrics whose dotted path matches this ECMAScript regex (via
   /// std::regex_search) can fail the gate; everything else is report-only.
-  /// Default matches the timing/makespan families across the BENCH_* files
-  /// — deliberately NOT bare "modeled", which would also catch
-  /// modeled_speedup, a higher-is-better metric the increase-only gate
-  /// would misread.
+  /// Default matches the timing/makespan families across the BENCH_* files.
+  /// Only lower-is-better metrics belong in it: the gate fails on
+  /// increases.
   std::string gate_regex = "(seconds|makespan|wall|cpu)";
 };
 
