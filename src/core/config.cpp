@@ -1,7 +1,9 @@
 #include "core/config.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <thread>
 
 namespace aacc {
 
@@ -161,6 +163,13 @@ void EngineConfig::validate() const {
        << max_snapshot_lag;
     fail(os.str());
   }
+}
+
+std::size_t resolve_worker_threads(std::size_t configured, Rank num_ranks) {
+  if (configured != 0) return configured;
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  const auto ranks = static_cast<unsigned>(std::max<Rank>(num_ranks, 1));
+  return std::clamp<std::size_t>(hw / ranks, 1, 8);
 }
 
 }  // namespace aacc

@@ -104,9 +104,12 @@ struct EngineConfig {
   AssignStrategy assign = AssignStrategy::kRoundRobin;
   EdgeAddMode add_mode = EdgeAddMode::kSeeded;
   RefineMode refine = RefineMode::kLabelCorrecting;
-  /// Intra-rank worker threads for the IA Dijkstra sweep (the paper's
-  /// MPI+OpenMP hybrid: ranks are processes, sources parallelize inside
-  /// each). 0 = auto (hardware_concurrency / num_ranks, clamped to [1, 8]).
+  /// Intra-rank worker threads for the IA sweep (the paper's MPI+OpenMP
+  /// hybrid: ranks are processes, sources parallelize inside each). The
+  /// sweep kernel is chosen per rank from the input, not by an option: BFS
+  /// when every local weight is 1, heap Dijkstra otherwise. 0 = auto
+  /// (resolve_worker_threads: hardware_concurrency / num_ranks, clamped to
+  /// [1, 8]).
   /// Any value produces bit-identical rows and ledgers: sources are
   /// disjoint rows and per-row counters merge in row order.
   std::size_t ia_threads = 0;
@@ -117,7 +120,7 @@ struct EngineConfig {
   /// any value produces bit-identical matrices, results and ledgers (see
   /// DESIGN.md §"Column-sharded parallel recombination drain"). Also sizes
   /// the parallel send-assembly pass in exchange(). 0 = auto, like
-  /// ia_threads (hardware_concurrency / num_ranks, clamped to [1, 8]).
+  /// ia_threads (resolve_worker_threads).
   std::size_t rc_threads = 0;
   /// Per-rank byte budget for resident (hot) DV rows. 0 = fully resident
   /// (the historical dense store). Nonzero selects the tiered store: settled
@@ -246,5 +249,11 @@ struct EngineConfig {
   ///     bound would flag every response between two publishes as stale)
   void validate() const;
 };
+
+/// Worker count for an intra-rank pool (ia_threads, rc_threads): a nonzero
+/// `configured` value as is, 0 = auto, hardware_concurrency / num_ranks
+/// clamped to [1, 8].
+[[nodiscard]] std::size_t resolve_worker_threads(std::size_t configured,
+                                                 Rank num_ranks);
 
 }  // namespace aacc

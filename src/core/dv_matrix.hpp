@@ -25,6 +25,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "common/check.hpp"
@@ -103,6 +104,44 @@ class DvRow {
     }
     d_[t] = nd;
     nh_[t] = nh;
+  }
+
+  /// Bulk install of a single-source sweep into a fresh row: every t in
+  /// `touched` (self first, as the sweep pushes it) other than self gets
+  /// (dist[t], hop[t]) and is marked reached and dirty. One pass with one
+  /// reserve; the row ends in exactly the state a set() + mark_dirty() call
+  /// per entry, in `touched` order, leaves (same values, aggregates, flag
+  /// bytes, index-list order and footprint).
+  /// Precondition (checked): no finite non-self entry, no dirty entry and
+  /// no stale index-list id. Returns the number of entries marked dirty.
+  VertexId install_fresh(const std::vector<VertexId>& touched,
+                         const std::vector<Dist>& dist,
+                         const std::vector<VertexId>& hop) {
+    AACC_CHECK(finite_ == 0 && dirty_count_ == 0 && dirty_.empty() &&
+               reach_.empty() && !touched.empty() && touched.front() == self_);
+    // One reserve to the capacity push_back's doubling would reach, so the
+    // row's footprint (the tiered budget's currency, and peak memory) is
+    // also the per-entry loop's.
+    if (touched.size() > 1) {
+      const std::size_t cap = std::bit_ceil(touched.size() - 1);
+      reach_.reserve(cap);
+      dirty_.reserve(cap);
+    }
+    std::uint64_t sum = 0;
+    for (const VertexId t : touched) {
+      if (t == self_) continue;
+      AACC_DCHECK(dist[t] != kInfDist);
+      d_[t] = dist[t];
+      nh_[t] = hop[t];
+      flags_[t] |= kReached | kDirty | kTracked;
+      sum += dist[t];
+      reach_.push_back(t);
+      dirty_.push_back(t);
+    }
+    sum_ = sum;
+    finite_ = static_cast<VertexId>(dirty_.size());
+    dirty_count_ = finite_;
+    return finite_;
   }
 
   /// Shard-mode set(): writes the per-column entry in place but diverts the

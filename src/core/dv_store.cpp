@@ -116,6 +116,54 @@ ColdDvRow encode_cold_row(VertexId self, const std::vector<Dist>& d,
   return cold;
 }
 
+VertexId encode_cold_ia(ColdDvRow& cold, const std::vector<VertexId>& touched,
+                        const std::vector<Dist>& dist,
+                        const std::vector<VertexId>& hop, bool dense_scan) {
+  AACC_CHECK(!touched.empty() && touched.front() == cold.self &&
+             dist.size() >= cold.columns);
+  std::vector<VertexId> cols;
+  if (dense_scan) {
+    // Branch-free append, as in DvRow::sorted_dirty(): every column is
+    // stored, only finite ones advance the cursor, one spare slot takes
+    // the trailing store. The cap test never fires when dist is finite
+    // exactly on `touched`; it keeps a broken caller inside the buffer.
+    cols.resize(touched.size() + 1);
+    std::size_t k = 0;
+    for (VertexId t = 0; t < cold.columns; ++t) {
+      cols[k] = t;
+      k += static_cast<std::size_t>(dist[t] != kInfDist);
+      if (k > touched.size()) break;
+    }
+    AACC_CHECK(k == touched.size());
+    cols.resize(k);
+  } else {
+    cols = touched;
+    std::sort(cols.begin(), cols.end());
+  }
+  rt::ByteWriter w;
+  w.write_varint(cols.size());
+  VertexId prev = 0;
+  std::uint64_t sum = 0;
+  VertexId finite = 0;
+  cold.dirty.clear();
+  for (std::size_t k = 0; k < cols.size(); ++k) {
+    const VertexId t = cols[k];
+    write_cold_entry(w, t, prev, k == 0, dist[t], hop[t]);
+    prev = t;
+    if (t != cold.self) {
+      sum += dist[t];
+      ++finite;
+      cold.dirty.append(t);
+    }
+  }
+  cold.blob = w.take();
+  cold.blob.shrink_to_fit();
+  cold.dirty.shrink_to_fit();
+  cold.sum = sum;
+  cold.finite = finite;
+  return finite;
+}
+
 DvRow decode_cold_row(const ColdDvRow& cold) {
   DvRow row(cold.self, cold.columns);
   ColdCursor cur(cold);
@@ -462,18 +510,11 @@ void ResidentDvStore::append_fresh(VertexId self) {
   set_hot(slots_.size() - 1, DvRow(self, cols_));
 }
 
-VertexId ResidentDvStore::install_ia(std::size_t i, VertexId src,
+VertexId ResidentDvStore::install_ia(std::size_t i,
                                      const std::vector<VertexId>& touched,
                                      const std::vector<Dist>& dist,
                                      const std::vector<VertexId>& hop) {
-  DvRow& r = row(i);
-  VertexId dirty_added = 0;
-  for (const VertexId t : touched) {
-    if (t == src) continue;
-    r.set(t, dist[t], hop[t]);
-    if (r.mark_dirty(t)) ++dirty_added;
-  }
-  return dirty_added;
+  return row(i).install_fresh(touched, dist, hop);
 }
 
 void ResidentDvStore::put_cold(std::size_t i, ColdDvRow&& cold) {
@@ -506,53 +547,20 @@ void TieredDvStore::append_fresh(VertexId self) {
   slots_.back().cold = std::move(cold);
 }
 
-VertexId TieredDvStore::install_ia(std::size_t i, VertexId src,
+VertexId TieredDvStore::install_ia(std::size_t i,
                                    const std::vector<VertexId>& touched,
                                    const std::vector<Dist>& dist,
                                    const std::vector<VertexId>& hop) {
-  Slot& s = slots_[i];
-  ColdDvRow* c = s.cold.get();
+  ColdDvRow* c = slots_[i].cold.get();
   if (c == nullptr || c->finite != 0 || !c->dirty.empty()) {
-    // Promoted or already-seeded row: replay the dense sequence.
-    DvRow& r = row(i);
-    VertexId dirty_added = 0;
-    for (const VertexId t : touched) {
-      if (t == src) continue;
-      r.set(t, dist[t], hop[t]);
-      if (r.mark_dirty(t)) ++dirty_added;
-    }
-    return dirty_added;
+    // Promoted or already-seeded row: the dense install checks freshness.
+    return row(i).install_fresh(touched, dist, hop);
   }
   // Fresh cold row: encode the sweep result directly — the cold form is
   // the same whether built here or via a dense round-trip (ascending
   // columns, identical aggregates, dirty = reached columns).
-  std::vector<VertexId> cols(touched);
-  if (std::find(cols.begin(), cols.end(), src) == cols.end()) {
-    cols.push_back(src);
-  }
-  std::sort(cols.begin(), cols.end());
-  rt::ByteWriter w;
-  w.write_varint(cols.size());
-  VertexId prev = 0;
-  std::uint64_t sum = 0;
-  VertexId finite = 0;
-  c->dirty.clear();
-  for (std::size_t k = 0; k < cols.size(); ++k) {
-    const VertexId t = cols[k];
-    write_cold_entry(w, t, prev, k == 0, dist[t], hop[t]);
-    prev = t;
-    if (t != src) {
-      sum += dist[t];
-      ++finite;
-      c->dirty.append(t);
-    }
-  }
-  c->blob = w.take();
-  c->blob.shrink_to_fit();
-  c->dirty.shrink_to_fit();
-  c->sum = sum;
-  c->finite = finite;
-  return finite;
+  return encode_cold_ia(*c, touched, dist, hop,
+                        touched.size() * DvRow::kDenseDirtyScan >= c->columns);
 }
 
 void TieredDvStore::put_cold(std::size_t i, ColdDvRow&& cold) {

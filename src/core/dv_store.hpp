@@ -176,6 +176,18 @@ ColdDvRow encode_cold_row(VertexId self, const std::vector<Dist>& d,
                           const std::vector<VertexId>& nh,
                           std::vector<VertexId> dirty);
 
+/// Fresh-row IA install in cold form: encodes a sweep result (`touched`,
+/// src first, and the dist/hop scratch arrays, finite exactly on
+/// `touched`) into `cold`, whose self and columns are already set. Every
+/// non-self entry is dirty. `dense_scan` only picks how the ascending
+/// column list is collected — one scan of `dist` or a sort of `touched` —
+/// and cannot change a byte; TieredDvStore::install_ia scans once
+/// touched.size() * DvRow::kDenseDirtyScan >= columns, the rule
+/// DvRow::sorted_dirty() applies. Returns the number of dirty entries.
+VertexId encode_cold_ia(ColdDvRow& cold, const std::vector<VertexId>& touched,
+                        const std::vector<Dist>& dist,
+                        const std::vector<VertexId>& hop, bool dense_scan);
+
 /// Full decode back to the dense form; the inverse of encode_cold_row up to
 /// stale index-list tails (see file comment).
 DvRow decode_cold_row(const ColdDvRow& cold);
@@ -299,13 +311,13 @@ class DvStore {
   void shrink_all();
 
   /// Installs the IA sweep result for row i (a fresh row: self entry only).
-  /// `touched` holds the reached vertices in Dijkstra settle order
-  /// (possibly including src, which is skipped); dist/hop are the scratch
-  /// arrays indexed by vertex id. Returns the number of entries marked
-  /// dirty. The resident store replays the settle-order set/mark_dirty
-  /// sequence on the dense row; the tiered store sorts and encodes the
-  /// cold form directly, never materializing O(n) state.
-  virtual VertexId install_ia(std::size_t i, VertexId src,
+  /// `touched` holds src first, then the reached vertices in discovery
+  /// order; dist/hop are the scratch arrays indexed by vertex id, finite
+  /// exactly on `touched`. Returns the number of entries marked dirty. The
+  /// resident store bulk-installs into the dense row (DvRow::install_fresh);
+  /// the tiered store encodes the cold form directly (encode_cold_ia),
+  /// never materializing O(n) state.
+  virtual VertexId install_ia(std::size_t i,
                               const std::vector<VertexId>& touched,
                               const std::vector<Dist>& dist,
                               const std::vector<VertexId>& hop) = 0;
@@ -409,7 +421,7 @@ class DvStore {
 class ResidentDvStore final : public DvStore {
  public:
   void append_fresh(VertexId self) override;
-  VertexId install_ia(std::size_t i, VertexId src,
+  VertexId install_ia(std::size_t i,
                       const std::vector<VertexId>& touched,
                       const std::vector<Dist>& dist,
                       const std::vector<VertexId>& hop) override;
@@ -426,7 +438,7 @@ class TieredDvStore final : public DvStore {
   [[nodiscard]] std::uint64_t budget_bytes() const { return budget_bytes_; }
 
   void append_fresh(VertexId self) override;
-  VertexId install_ia(std::size_t i, VertexId src,
+  VertexId install_ia(std::size_t i,
                       const std::vector<VertexId>& touched,
                       const std::vector<Dist>& dist,
                       const std::vector<VertexId>& hop) override;

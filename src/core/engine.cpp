@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <memory>
 #include <optional>
-#include <thread>
 
 #include "analysis/closeness.hpp"
 #include "analysis/quality.hpp"
@@ -147,18 +146,11 @@ RunResult run_driver(const DriverArgs& args) {
   // rank world has joined.
   std::unique_ptr<obs::Tracer> tracer;
   if (cfg_.trace.enabled) {
-    // Subtrack count covers the widest worker pool either phase can open
-    // (the same auto rule as RankEngine::ia_thread_count / rc_thread_count).
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    const auto resolve = [&](std::size_t configured) {
-      return configured != 0
-                 ? configured
-                 : std::clamp<std::size_t>(
-                       hw / static_cast<unsigned>(cfg_.num_ranks), 1, 8);
-    };
+    // Subtrack count covers the widest worker pool either phase can open.
     tracer = std::make_unique<obs::Tracer>(
         cfg_.num_ranks,
-        std::max(resolve(cfg_.ia_threads), resolve(cfg_.rc_threads)),
+        std::max(resolve_worker_threads(cfg_.ia_threads, cfg_.num_ranks),
+                 resolve_worker_threads(cfg_.rc_threads, cfg_.num_ranks)),
         cfg_.trace);
   }
   obs::TraceTrack* const drv = tracer ? &tracer->driver() : nullptr;

@@ -8,7 +8,6 @@
 #include <numeric>
 #include <queue>
 #include <sstream>
-#include <thread>
 #include <unordered_set>
 
 #include "analysis/closeness.hpp"
@@ -523,51 +522,61 @@ void RankEngine::adopt_shards(const Init& init) {
 
 // --------------------------------------------------------------------- IA
 
-void RankEngine::ia_source(std::size_t r, std::vector<Dist>& dist,
-                           std::vector<VertexId>& hop,
+void RankEngine::ia_source(std::size_t r, bool unit_weights,
+                           std::vector<Dist>& dist, std::vector<VertexId>& hop,
                            std::vector<VertexId>& touched,
                            std::uint64_t& dirty_added) {
   const VertexId src = lg_.vertex_of(r);
-  std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> pq;
   dist[src] = 0;
   touched.push_back(src);
-  pq.push({0, src});
-  while (!pq.empty()) {
-    const auto [d, u] = pq.top();
-    pq.pop();
-    if (d != dist[u]) continue;
-    // Portals are reachable leaves: they get a distance but are not
-    // expanded (paths *through* an external boundary vertex are
-    // resolved during recombination, which keeps next-hop chains
-    // locally sound — see DESIGN.md).
-    const std::int32_t urow = lg_.row_of(u);
-    if (urow < 0) continue;
-    for (const Edge& e : lg_.adj(static_cast<std::size_t>(urow))) {
-      const Dist nd = dist_add(d, e.w);
-      if (nd < dist[e.to]) {
-        if (dist[e.to] == kInfDist) touched.push_back(e.to);
+  // Portals are reachable leaves: they get a distance but are not expanded
+  // (paths *through* an external boundary vertex are resolved during
+  // recombination, which keeps next-hop chains locally sound — see
+  // DESIGN.md). The first hop of a path is inherited from its parent.
+  if (unit_weights) {
+    // BFS: `touched` doubles as the FIFO. Vertices leave it in
+    // nondecreasing distance, so the first discovery is final.
+    for (std::size_t head = 0; head < touched.size(); ++head) {
+      const VertexId u = touched[head];
+      const std::int32_t urow = lg_.row_of(u);
+      if (urow < 0) continue;
+      const Dist nd = dist[u] + 1;
+      for (const Edge& e : lg_.adj(static_cast<std::size_t>(urow))) {
+        if (dist[e.to] != kInfDist) continue;
         dist[e.to] = nd;
         hop[e.to] = (u == src) ? e.to : hop[u];
-        pq.push({nd, e.to});
+        touched.push_back(e.to);
+      }
+    }
+  } else {
+    std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> pq;
+    pq.push({0, src});
+    while (!pq.empty()) {
+      const auto [d, u] = pq.top();
+      pq.pop();
+      if (d != dist[u]) continue;
+      const std::int32_t urow = lg_.row_of(u);
+      if (urow < 0) continue;
+      for (const Edge& e : lg_.adj(static_cast<std::size_t>(urow))) {
+        const Dist nd = dist_add(d, e.w);
+        if (nd < dist[e.to]) {
+          if (dist[e.to] == kInfDist) touched.push_back(e.to);
+          dist[e.to] = nd;
+          hop[e.to] = (u == src) ? e.to : hop[u];
+          pq.push({nd, e.to});
+        }
       }
     }
   }
-  // The store installs the sweep result; the tiered implementation encodes
-  // fresh rows straight into cold form so the sweep never materializes a
-  // dense O(n) row per source.
-  dirty_added += dv_->install_ia(r, src, touched, dist, hop);
+  // The store installs the sweep result in one pass; the tiered
+  // implementation encodes fresh rows straight into cold form so the sweep
+  // never materializes a dense O(n) row per source.
+  dirty_added += dv_->install_ia(r, touched, dist, hop);
   for (const VertexId t : touched) {
     dist[t] = kInfDist;
     hop[t] = kNoVertex;
   }
   touched.clear();
-}
-
-std::size_t RankEngine::ia_thread_count() const {
-  if (cfg_.ia_threads != 0) return cfg_.ia_threads;
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const auto ranks = static_cast<unsigned>(std::max<Rank>(comm_.size(), 1));
-  return std::clamp<std::size_t>(hw / ranks, 1, 8);
 }
 
 void RankEngine::run_ia() {
@@ -576,15 +585,29 @@ void RankEngine::run_ia() {
   const VertexId n = lg_.n();
 
   // The paper runs a multithreaded Dijkstra here (its MPI+OpenMP hybrid:
-  // O(n_p * m_p log n_p / T) per rank). Sources are disjoint rows, so they
-  // fan out across an intra-rank pool with per-thread scratch; each row is
-  // written by exactly one worker and per-row dirty counters merge in row
-  // order afterwards, so rows, counters and ledgers are bit-identical to
-  // the serial path for any thread count.
+  // O(n_p * m_p log n_p / T) per rank). The kernel is chosen from the
+  // input, with no option: when every weight in this rank's adjacency
+  // (portal edges included) is 1, each source runs a BFS, exact on unit
+  // weights and O(n_p + m_p); otherwise it runs the heap Dijkstra.
+  // Sources are disjoint rows, so they fan out across an intra-rank pool
+  // with per-thread scratch; each row is written by exactly one worker and
+  // per-row dirty counters merge in row order afterwards, so rows,
+  // counters and ledgers are bit-identical to the serial path for any
+  // thread count.
+  bool unit_weights = true;
+  for (std::size_t r = 0; r < lg_.num_local() && unit_weights; ++r) {
+    for (const Edge& e : lg_.adj(r)) {
+      if (e.w != 1) {
+        unit_weights = false;
+        break;
+      }
+    }
+  }
   std::vector<std::uint64_t> dirty_added(dv_->size(), 0);
   std::atomic<std::size_t> cursor{0};
   constexpr std::size_t kChunk = 8;
-  const std::size_t threads = std::min(ia_thread_count(), dv_->size());
+  const std::size_t threads = std::min(
+      resolve_worker_threads(cfg_.ia_threads, comm_.size()), dv_->size());
   run_workers(threads, [&](std::size_t w) {
     // One span per worker on its shard subtrack (chunk assignment races,
     // but a single begin/end pair per worker stays deterministic).
@@ -603,7 +626,7 @@ void RankEngine::run_ia() {
       if (begin >= dv_->size()) break;
       const std::size_t end = std::min(begin + kChunk, dv_->size());
       for (std::size_t r = begin; r < end; ++r) {
-        ia_source(r, dist, hop, touched, dirty_added[r]);
+        ia_source(r, unit_weights, dist, hop, touched, dirty_added[r]);
       }
     }
   });
@@ -742,10 +765,7 @@ constexpr std::size_t kDrainShardGrain = 128;
 }  // namespace
 
 std::size_t RankEngine::rc_thread_count() const {
-  if (cfg_.rc_threads != 0) return cfg_.rc_threads;
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const auto ranks = static_cast<unsigned>(std::max<Rank>(comm_.size(), 1));
-  return std::clamp<std::size_t>(hw / ranks, 1, 8);
+  return resolve_worker_threads(cfg_.rc_threads, comm_.size());
 }
 
 void RankEngine::drain() {

@@ -164,7 +164,9 @@ class RankEngine {
   void serialize_state(rt::ByteWriter& w) const;
 
   /// Phase 2: local APSP over the rank's sub-graph (portals are reachable
-  /// leaves but are not expanded — see header comment).
+  /// leaves but are not expanded — see header comment). One sweep per
+  /// local vertex: BFS when every local weight is 1, heap Dijkstra
+  /// otherwise, chosen from the input (no option selects it).
   void run_ia();
 
   /// Phase 3: recombination loop until global quiescence. Returns the
@@ -363,12 +365,14 @@ class RankEngine {
   /// demotion).
   void maintain_store();
 
-  /// One IA Dijkstra source (row r) using caller-owned scratch buffers;
-  /// `dirty_added` receives the row's newly-dirty entry count.
-  void ia_source(std::size_t r, std::vector<Dist>& dist,
+  /// One IA source (row r) using caller-owned scratch buffers: a BFS when
+  /// `unit_weights` (run_ia found every local weight, portal edges
+  /// included, equal to 1), the heap Dijkstra otherwise. Either way local
+  /// vertices are expanded and portals are leaves. `dirty_added` receives
+  /// the row's newly-dirty entry count.
+  void ia_source(std::size_t r, bool unit_weights, std::vector<Dist>& dist,
                  std::vector<VertexId>& hop, std::vector<VertexId>& touched,
                  std::uint64_t& dirty_added);
-  [[nodiscard]] std::size_t ia_thread_count() const;
 
   /// Deserializes a checkpoint blob; malformed/truncated input raises
   /// CheckpointError with rank context (restore_state wraps the reader's

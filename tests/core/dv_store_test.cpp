@@ -110,6 +110,123 @@ TEST(ColdCodec, SerializeRowIsResidencyOblivious) {
   }
 }
 
+// ------------------------------------------------------------ IA install
+
+/// A synthetic single-source sweep over n columns in the shape ia_source
+/// hands to install_ia: src first in `touched`, then `reached` other
+/// columns in random discovery order; dist/hop are finite exactly there.
+struct Sweep {
+  VertexId src = 0;
+  std::vector<VertexId> touched;
+  std::vector<Dist> dist;
+  std::vector<VertexId> hop;
+};
+
+Sweep random_sweep(VertexId n, VertexId reached, Rng& rng) {
+  Sweep s;
+  s.src = static_cast<VertexId>(rng.next_below(n));
+  s.dist.assign(n, kInfDist);
+  s.hop.assign(n, kNoVertex);
+  std::vector<VertexId> others;
+  for (VertexId t = 0; t < n; ++t) {
+    if (t != s.src) others.push_back(t);
+  }
+  s.touched.push_back(s.src);
+  s.dist[s.src] = 0;
+  for (VertexId k = 0; k < reached; ++k) {
+    const VertexId j =
+        k + static_cast<VertexId>(rng.next_below(others.size() - k));
+    std::swap(others[k], others[j]);
+    const VertexId t = others[k];
+    s.touched.push_back(t);
+    s.dist[t] = static_cast<Dist>(1 + rng.next_below(50));
+    s.hop[t] = static_cast<VertexId>(rng.next_below(n));
+  }
+  return s;
+}
+
+/// The reference install: one set() + mark_dirty() per entry.
+DvRow install_per_entry(const Sweep& s, VertexId n, VertexId& dirty_added) {
+  DvRow row(s.src, n);
+  dirty_added = 0;
+  for (const VertexId t : s.touched) {
+    if (t == s.src) continue;
+    row.set(t, s.dist[t], s.hop[t]);
+    if (row.mark_dirty(t)) ++dirty_added;
+  }
+  return row;
+}
+
+/// The reach list as for_each_finite walks it (order included).
+std::vector<VertexId> reach_walk(const DvRow& row) {
+  std::vector<VertexId> out;
+  row.for_each_finite([&out](VertexId t) { out.push_back(t); });
+  return out;
+}
+
+TEST(IaInstall, BulkRowInstallMatchesPerEntryLoop) {
+  constexpr VertexId n = 500;
+  Rng rng(31);
+  for (const VertexId reached : {0u, 5u, 20u, 400u, 499u}) {
+    SCOPED_TRACE(reached);
+    const Sweep s = random_sweep(n, reached, rng);
+    VertexId want_added = 0;
+    const DvRow want = install_per_entry(s, n, want_added);
+    DvRow got(s.src, n);
+    EXPECT_EQ(got.install_fresh(s.touched, s.dist, s.hop), want_added);
+    expect_rows_equal(got, want);
+    EXPECT_EQ(reach_walk(got), reach_walk(want));
+    EXPECT_EQ(got.footprint_bytes(), want.footprint_bytes());
+    if (reached == 0) continue;
+    // The fresh-row precondition is checked: a second install would break
+    // the aggregates, so it throws instead.
+    EXPECT_THROW(got.install_fresh(s.touched, s.dist, s.hop),
+                 std::logic_error);
+  }
+}
+
+TEST(IaInstall, TieredColdInstallScanAndSortAgree) {
+  // The fresh-cold install collects its ascending columns by scanning
+  // dist (dense sweeps) or by sorting touched (sparse ones); both must
+  // emit the same cold row, which must decode to the resident row.
+  constexpr VertexId n = 500;
+  Rng rng(32);
+  for (const VertexId reached : {20u, 400u}) {
+    SCOPED_TRACE(reached);
+    const Sweep s = random_sweep(n, reached, rng);
+    const bool dense = s.touched.size() * DvRow::kDenseDirtyScan >= n;
+    EXPECT_EQ(dense, reached == 400u);  // one case per branch
+    ColdDvRow scan;
+    ColdDvRow sort;
+    for (ColdDvRow* c : {&scan, &sort}) {
+      c->self = s.src;
+      c->columns = n;
+    }
+    EXPECT_EQ(encode_cold_ia(scan, s.touched, s.dist, s.hop, true), reached);
+    EXPECT_EQ(encode_cold_ia(sort, s.touched, s.dist, s.hop, false), reached);
+    EXPECT_EQ(scan.blob, sort.blob);
+    EXPECT_EQ(scan.dirty, sort.dirty);
+    EXPECT_EQ(scan.sum, sort.sum);
+    EXPECT_EQ(scan.finite, sort.finite);
+
+    VertexId want_added = 0;
+    const DvRow want = install_per_entry(s, n, want_added);
+    EXPECT_EQ(want_added, reached);
+    expect_rows_equal(decode_cold_row(scan), want);
+    const ColdDvRow dense_encoded = encode_cold_row(want);
+    EXPECT_EQ(scan.blob, dense_encoded.blob);
+    EXPECT_EQ(scan.dirty, dense_encoded.dirty);
+
+    // Through the store: the row stays cold and reads back the same.
+    TieredDvStore store(kMinDvBudgetBytes);
+    store.grow_columns(n);
+    store.append_fresh(s.src);
+    EXPECT_EQ(store.install_ia(0, s.touched, s.dist, s.hop), reached);
+    EXPECT_FALSE(store.is_hot(0));
+    expect_rows_equal(store.row(0), want);
+  }
+}
+
 // --------------------------------------------------- residency invariants
 
 TEST(TieredLru, MaintainDemotesDownToBudget) {

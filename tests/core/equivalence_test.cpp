@@ -116,29 +116,37 @@ TEST(Equivalence, IaThreadCountDoesNotChangeTheAnswer) {
   // The parallel IA sweep must be bit-identical to the serial one: rows are
   // disjoint per worker and dirty counters merge in row order, so closeness,
   // APSP, step counts, and even the communication ledger must all match.
-  const Graph g = make_er(140, 420, 56, WeightRange{1, 5});
-  Graph truth;
-  const auto sched = mixed_schedule(g, 6, &truth);
+  // Both sweep kernels: weights in [1, 5] run the heap Dijkstra, the
+  // unit-weight BA runs BFS.
+  const std::pair<const char*, Graph> inputs[] = {
+      {"heap", make_er(140, 420, 56, WeightRange{1, 5})},
+      {"bfs", make_ba(140, 3, 57)}};
+  for (const auto& [kernel, g] : inputs) {
+    SCOPED_TRACE(kernel);
+    Graph truth;
+    const auto sched = mixed_schedule(g, 6, &truth);
 
-  EngineConfig serial;
-  serial.num_ranks = 4;
-  serial.ia_threads = 1;
-  const RunResult ref = run_cfg(g, sched, serial);
-  test::expect_apsp_exact(truth, ref);
+    EngineConfig serial;
+    serial.num_ranks = 4;
+    serial.ia_threads = 1;
+    const RunResult ref = run_cfg(g, sched, serial);
+    test::expect_apsp_exact(truth, ref);
 
-  for (const std::size_t t : {2, 4, 7}) {
-    EngineConfig cfg;
-    cfg.num_ranks = 4;
-    cfg.ia_threads = t;
-    cfg.validate_each_step = true;
-    const RunResult r = run_cfg(g, sched, cfg);
-    EXPECT_EQ(r.stats.invariant_violations, 0u) << "ia_threads=" << t;
-    EXPECT_EQ(r.closeness, ref.closeness) << "ia_threads=" << t;
-    EXPECT_EQ(r.stats.rc_steps, ref.stats.rc_steps) << "ia_threads=" << t;
-    EXPECT_EQ(r.stats.total_bytes, ref.stats.total_bytes)
-        << "ia_threads=" << t;
-    for (VertexId u = 0; u < truth.num_vertices(); ++u) {
-      ASSERT_EQ(r.apsp[u], ref.apsp[u]) << "ia_threads=" << t << " row " << u;
+    for (const std::size_t t : {2, 4, 7}) {
+      EngineConfig cfg;
+      cfg.num_ranks = 4;
+      cfg.ia_threads = t;
+      cfg.validate_each_step = true;
+      const RunResult r = run_cfg(g, sched, cfg);
+      EXPECT_EQ(r.stats.invariant_violations, 0u) << "ia_threads=" << t;
+      EXPECT_EQ(r.closeness, ref.closeness) << "ia_threads=" << t;
+      EXPECT_EQ(r.stats.rc_steps, ref.stats.rc_steps) << "ia_threads=" << t;
+      EXPECT_EQ(r.stats.total_bytes, ref.stats.total_bytes)
+          << "ia_threads=" << t;
+      for (VertexId u = 0; u < truth.num_vertices(); ++u) {
+        ASSERT_EQ(r.apsp[u], ref.apsp[u])
+            << "ia_threads=" << t << " row " << u;
+      }
     }
   }
 }

@@ -1,7 +1,12 @@
-// RankEngine in isolation (driven directly on a World): IA correctness
-// against local Dijkstra semantics, invariant auditing, and state
+// RankEngine in isolation (driven directly on a World): IA exactness
+// against an independent local-subgraph Dijkstra for both sweep kernels
+// (BFS on unit weights, heap otherwise), invariant auditing, and state
 // serialization round-trips.
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <queue>
+#include <unordered_map>
 
 #include "analysis/shortest_paths.hpp"
 #include "core/rank_engine.hpp"
@@ -20,14 +25,19 @@ struct Fixture {
   EngineConfig cfg;
 };
 
-Fixture make_fixture(VertexId n, Rank P, std::uint64_t seed) {
+Fixture partitioned(Graph g, Rank P, std::uint64_t seed) {
   Fixture f;
-  f.g = test::make_er(n, n * 3, seed, WeightRange{1, 4});
+  f.g = std::move(g);
   Rng rng(seed);
   f.part = partition_graph(f.g, P, PartitionerKind::kMultilevel, rng);
   f.edges = f.g.edges();
   f.cfg.num_ranks = P;
   return f;
+}
+
+Fixture make_fixture(VertexId n, Rank P, std::uint64_t seed) {
+  return partitioned(test::make_er(n, n * 3, seed, WeightRange{1, 4}), P,
+                     seed);
 }
 
 RankEngine::Init init_for(const Fixture& f, Rank me,
@@ -42,35 +52,139 @@ RankEngine::Init init_for(const Fixture& f, Rank me,
   return init;
 }
 
-TEST(RankEngineIa, MatchesLocalSubgraphSemantics) {
-  // After IA (no RC), every finite entry must equal a true shortest path of
-  // the *local sub-graph* (local vertices expanded, portals as leaves) —
-  // i.e. it is >= the global distance, and reachable-local pairs match the
-  // global value when the whole shortest path stays inside the partition.
-  const Fixture f = make_fixture(120, 4, 7);
-  const auto global = apsp_reference(f.g);
-
-  rt::World world(f.cfg.num_ranks);
-  std::vector<int> bad(4, 0);
-  world.run([&](rt::Comm& comm) {
-    RankEngine engine(init_for(f, comm.rank()), comm);
-    engine.run_ia();
-    const DvStore& store = engine.store();
-    for (std::size_t r = 0; r < store.size(); ++r) {
-      const DvRow& row = store.row(r);
-      for (VertexId t = 0; t < row.size(); ++t) {
-        if (row.dist(t) == kInfDist) continue;
-        if (row.dist(t) < global[row.self()][t]) {
-          ++bad[static_cast<std::size_t>(comm.rank())];
-        }
+/// The IA reference: Dijkstra from `src` over the whole graph that expands
+/// only vertices owned by `me`; every other vertex (a portal) is a leaf.
+/// Built from the Graph and the partition, independent of LocalGraph.
+std::vector<Dist> local_subgraph_dijkstra(const Graph& g,
+                                          const std::vector<Rank>& owner,
+                                          Rank me, VertexId src) {
+  std::vector<Dist> dist(g.num_vertices(), kInfDist);
+  using Item = std::pair<Dist, VertexId>;
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+  dist[src] = 0;
+  pq.emplace(0, src);
+  while (!pq.empty()) {
+    const auto [d, u] = pq.top();
+    pq.pop();
+    if (d != dist[u] || owner[u] != me) continue;
+    for (const Edge& e : g.neighbors(u)) {
+      if (dist_add(d, e.w) < dist[e.to]) {
+        dist[e.to] = dist_add(d, e.w);
+        pq.emplace(dist[e.to], e.to);
       }
     }
-    // Invariants hold on the IA state too.
-    if (!engine.check_invariants().empty()) {
-      bad[static_cast<std::size_t>(comm.rank())] += 1000;
+  }
+  return dist;
+}
+
+struct IaAudit {
+  std::size_t dist_mismatches = 0;
+  std::size_t bad_hops = 0;
+  std::size_t invariant_violations = 0;
+  bool unit_weights = true;  ///< every local weight (portal edges too) is 1
+};
+
+/// Runs IA alone on every rank, under the resident store and under a
+/// tiered store whose budget keeps almost every row cold, and audits each
+/// row against the reference: every entry (infinite ones included) equals
+/// the local-subgraph distance, and every finite entry's next hop is a
+/// neighbour of the source on a shortest local path — a local neighbour
+/// whose own local distance closes the gap exactly, or the target itself
+/// when the target is a portal.
+std::vector<IaAudit> audit_ia(Fixture f) {
+  const Rank P = f.cfg.num_ranks;
+  const std::vector<Rank>& owner = f.part.assignment;
+  std::vector<IaAudit> audit(static_cast<std::size_t>(P));
+  rt::World world(P);
+  for (const std::uint64_t budget : {std::uint64_t{0}, kMinDvBudgetBytes}) {
+    f.cfg.dv_budget_bytes = budget;
+    world.run([&](rt::Comm& comm) {
+      const Rank me = comm.rank();
+      IaAudit& a = audit[static_cast<std::size_t>(me)];
+      RankEngine engine(init_for(f, me), comm);
+      engine.run_ia();
+      const LocalGraph& lg = engine.local_graph();
+      for (std::size_t r = 0; r < lg.num_local(); ++r) {
+        for (const Edge& e : lg.adj(r)) a.unit_weights &= (e.w == 1);
+      }
+      std::unordered_map<VertexId, std::vector<Dist>> ref;
+      for (std::size_t r = 0; r < lg.num_local(); ++r) {
+        const VertexId v = lg.vertex_of(r);
+        ref[v] = local_subgraph_dijkstra(f.g, owner, me, v);
+      }
+      const DvStore& store = engine.store();
+      for (std::size_t r = 0; r < store.size(); ++r) {
+        const DvRow& row = store.row(r);
+        const VertexId s = row.self();
+        const std::vector<Dist>& want = ref.at(s);
+        for (VertexId t = 0; t < row.size(); ++t) {
+          if (row.dist(t) != want[t]) ++a.dist_mismatches;
+          if (t == s || row.dist(t) == kInfDist) continue;
+          const VertexId nh = row.next_hop(t);
+          if (nh == kNoVertex || !f.g.has_edge(s, nh)) {
+            ++a.bad_hops;
+            continue;
+          }
+          const Dist w = f.g.edge_weight(s, nh);
+          const bool shortest =
+              owner[nh] == me ? dist_add(w, ref.at(nh)[t]) == row.dist(t)
+                              : nh == t && w == row.dist(t);
+          if (!shortest) ++a.bad_hops;
+        }
+      }
+      a.invariant_violations += engine.check_invariants().size();
+    });
+  }
+  return audit;
+}
+
+void expect_ia_exact(const std::vector<IaAudit>& audit) {
+  for (std::size_t r = 0; r < audit.size(); ++r) {
+    EXPECT_EQ(audit[r].dist_mismatches, 0u) << "rank " << r;
+    EXPECT_EQ(audit[r].bad_hops, 0u) << "rank " << r;
+    EXPECT_EQ(audit[r].invariant_violations, 0u) << "rank " << r;
+  }
+}
+
+TEST(RankEngineIa, MatchesLocalSubgraphSemanticsUnitWeights) {
+  // Unit weights everywhere: every rank sweeps with BFS.
+  const Fixture f = partitioned(test::make_ba(150, 3, 21), 4, 21);
+  const auto audit = audit_ia(f);
+  for (const IaAudit& a : audit) EXPECT_TRUE(a.unit_weights);
+  expect_ia_exact(audit);
+}
+
+TEST(RankEngineIa, MatchesLocalSubgraphSemantics) {
+  // Weights in [1, 4]: every rank sweeps with the heap Dijkstra.
+  const Fixture f = make_fixture(120, 4, 7);
+  const auto audit = audit_ia(f);
+  std::size_t unit = 0;
+  for (const IaAudit& a : audit) unit += a.unit_weights ? 1 : 0;
+  EXPECT_EQ(unit, 0u);
+  expect_ia_exact(audit);
+}
+
+TEST(RankEngineIa, MatchesLocalSubgraphSemanticsOneHeavyEdge) {
+  // Unit weights except one weight-2 edge inside rank 0's part: rank 0
+  // falls back to the heap Dijkstra, every other rank runs BFS.
+  Fixture f = partitioned(test::make_ba(150, 3, 23), 4, 23);
+  const std::vector<Rank>& owner = f.part.assignment;
+  bool placed = false;
+  for (const auto& [u, v, w] : f.g.edges()) {
+    if (owner[u] == 0 && owner[v] == 0) {
+      f.g.set_weight(u, v, 2);
+      placed = true;
+      break;
     }
-  });
-  for (const int b : bad) EXPECT_EQ(b, 0);
+  }
+  ASSERT_TRUE(placed);
+  f.edges = f.g.edges();
+  const auto audit = audit_ia(f);
+  EXPECT_FALSE(audit[0].unit_weights);
+  for (std::size_t r = 1; r < audit.size(); ++r) {
+    EXPECT_TRUE(audit[r].unit_weights) << "rank " << r;
+  }
+  expect_ia_exact(audit);
 }
 
 TEST(RankEngineIa, RowsCoverExactlyLocalVertices) {
