@@ -165,35 +165,8 @@ class PeriodicCheckpoints {
     return ck;
   }
 
-  /// The newest snapshot one rank holds, regardless of the other ranks'
-  /// progress — shard adoption needs only the *dead* rank's blob (the
-  /// survivors' live state travels in the supervisor's stash). Returns
-  /// (step, blob) or nullopt when the rank never snapshotted.
-  [[nodiscard]] std::optional<std::pair<std::size_t, std::vector<std::byte>>>
-  latest_for(Rank rank) const {
-    const auto& history = slots_[static_cast<std::size_t>(rank)];
-    if (history.empty()) return std::nullopt;
-    return history.back();
-  }
-
-  void clear() {
-    for (auto& history : slots_) history.clear();
-  }
-
  private:
   std::vector<std::deque<std::pair<std::size_t, std::vector<std::byte>>>> slots_;
 };
-
-/// Structural validation of a single rank blob about to be adopted into a
-/// *smaller* surviving world: a well-formed v2 header. The whole-world
-/// validate_checkpoint cannot be used here — adoption deliberately restores
-/// one rank's shard into a world that no longer matches the blob's
-/// num_ranks. Deep truncation is caught by the bounds-checked reader during
-/// shard extraction. Throws CheckpointError.
-inline void validate_shard_blob(const std::vector<std::byte>& blob,
-                                Rank source_rank) {
-  (void)checkpoint_body(blob,
-                        "adoption source rank " + std::to_string(source_rank));
-}
 
 }  // namespace aacc

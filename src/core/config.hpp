@@ -51,20 +51,18 @@ enum class EdgeAddMode {
 /// Recovery action a rung of the policy ladder applies when the supervisor
 /// declares ranks dead (docs/FAULTS.md §Recovery policy ladder).
 enum class RecoveryPolicy {
-  /// Survivors adopt the dead rank's rows: its shard is split out of its
-  /// latest periodic-checkpoint blob, the owner map is rewritten onto the
-  /// survivors, the mutation journal since that snapshot is replayed for
-  /// the adopted rows, and a repair-poison pass re-derives their values
-  /// from the survivors' current state. Zero lost vertices, no global
-  /// rollback; final closeness equals the fault-free run.
+  /// Survivors adopt the dead rank's rows: the owner map is rewritten onto
+  /// the survivors, each survivor rebuilds its topology from the driver's
+  /// graph at the survivors' batch cursor, and a quiet repair pass
+  /// re-derives the adopted rows from the survivors' current state. No
+  /// snapshot needed, no global rollback; final closeness equals the
+  /// fault-free run.
   kAdopt,
   /// Whole-world rollback: every rank restores the newest snapshot all
-  /// ranks hold and replays (bit-identical results). With no snapshot yet,
-  /// the run restarts from scratch.
+  /// ranks hold and replays (bit-identical results). With no snapshot
+  /// (checkpoint_every == 0, or none taken yet) the run restarts from
+  /// scratch, also bit-identically.
   kRollback,
-  /// Degraded ghost mode: survivors carry on, the dead rank's rows are
-  /// lost and reported exactly in RunResult::lost_vertices.
-  kDegrade,
 };
 
 /// One rung of EngineConfig::recovery_policy. A rung is skipped when its
@@ -82,7 +80,7 @@ struct RecoveryRung {
 /// GCC 12's -Wmaybe-uninitialized false positive out of every TU that
 /// default-constructs an EngineConfig.
 inline constexpr RecoveryRung kDefaultRecoveryPolicy[] = {
-    {RecoveryPolicy::kRollback, 0}, {RecoveryPolicy::kDegrade, 0}};
+    {RecoveryPolicy::kRollback, 0}};
 
 /// Local refinement inside an RC step (ablation A3).
 enum class RefineMode {
@@ -165,20 +163,20 @@ struct EngineConfig {
   /// Deterministic fault schedule for chaos testing; inert when empty.
   rt::FaultPlan faults;
   /// Periodic recovery checkpoints: every rank snapshots its state each k
-  /// RC steps; on a rank failure the supervisor rolls every rank back to
-  /// the newest common snapshot and replays (bit-identical results).
-  /// 0 disables — failures then fall back to degraded mode.
+  /// RC steps, and the rollback rung replays from the newest common
+  /// snapshot (bit-identical results). 0 disables — rollback then restarts
+  /// the run from scratch (still bit-identical); adoption needs no
+  /// snapshot either way.
   std::size_t checkpoint_every = 0;
-  /// Supervised relaunch budget per run (recoveries + degraded restarts).
+  /// Supervised relaunch budget per run: adoptions plus rollbacks.
   std::size_t max_recoveries = 4;
   /// Recovery-policy ladder (docs/FAULTS.md §Recovery policy ladder). On a
   /// declared rank death the supervisor walks the rungs in order and
   /// applies the first whose budget is unspent and whose preconditions
   /// hold; a rung that throws RecoveryError falls through to the next, and
-  /// an exhausted ladder rethrows. The default reproduces the legacy
-  /// hard-coded order: rollback whenever periodic checkpoints are enabled,
-  /// else degraded ghost mode. Adoption must be opted in, e.g.
-  /// {{kAdopt}, {kRollback}, {kDegrade}}.
+  /// an exhausted ladder rethrows. The default is {kRollback}: replay from
+  /// the newest common snapshot, or from scratch without one. Adoption
+  /// must be opted in, e.g. {{kAdopt}, {kRollback}}.
   std::vector<RecoveryRung> recovery_policy = std::vector<RecoveryRung>(
       std::begin(kDefaultRecoveryPolicy), std::end(kDefaultRecoveryPolicy));
   /// Peer-health supervision deadlines (docs/FAULTS.md §Health

@@ -4,8 +4,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <memory>
 #include <optional>
+#include <string>
+#include <tuple>
 
 #include "analysis/closeness.hpp"
 #include "analysis/quality.hpp"
@@ -115,56 +118,183 @@ RunResult AnytimeEngine::run(const EventSchedule& schedule) {
   return detail::run_driver(args);
 }
 
-namespace detail {
+namespace {
 
-RunResult run_driver(const DriverArgs& args) {
-  // Batch mode and live mode share this driver verbatim; the locals below
-  // keep the historical member names so the body reads unchanged.
-  Graph& graph_ = *args.graph;
-  const EngineConfig& cfg_ = args.cfg;
-  const bool resuming_ = args.resuming;
-  const Checkpoint no_resume;
-  const Checkpoint& resume_ =
-      args.resume != nullptr ? *args.resume : no_resume;
-  serve::ServeContext* const serve = args.serve;
-  const bool live = serve != nullptr;
-  // In live mode the consumed-batch journal is the schedule. It only grows
-  // while rank threads run, so every snapshot taken here (start, after a
-  // failed attempt, before result assembly — all joined-world points) is a
-  // coherent replay prefix.
-  EventSchedule live_sched;
-  if (live) live_sched = serve->feed.journal_copy();
-  const EventSchedule& schedule = live ? live_sched : *args.schedule;
+using EdgeList = std::vector<std::tuple<VertexId, VertexId, Weight>>;
 
-  RunResult out;
-  Timer wall;
+const Checkpoint kNoResume;  // DriverArgs::resume when nothing is resumed
 
+std::int64_t steady_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// Rethrows a failed attempt's root cause: the first error that is not a
+/// survivor's PeerFailedError (collateral damage), else the first error.
+[[noreturn]] void rethrow_root(const rt::World::RunReport& report) {
+  for (const Rank r : report.failed) {
+    try {
+      std::rethrow_exception(report.errors[static_cast<std::size_t>(r)]);
+    } catch (const rt::PeerFailedError&) {
+      // collateral; keep looking for the root cause
+    }
+  }
+  std::rethrow_exception(
+      report.errors[static_cast<std::size_t>(report.failed.front())]);
+}
+
+/// The recovery supervisor behind detail::run_driver (docs/FAULTS.md
+/// §Recovery policy ladder). One instance per run owns the rank world and
+/// everything that must outlive a supervised attempt. Each attempt starts
+/// in one of three launch modes; after a declared death the supervisor
+/// walks the policy ladder, one member function per rung, and relaunches.
+/// Batch mode and live mode share it: in live mode the consumed-batch
+/// journal is the schedule. The journal only grows while rank threads run,
+/// so every copy taken here (start, after a failed attempt, before result
+/// assembly — all joined-world points) is a coherent replay prefix.
+class Supervisor {
+ public:
+  explicit Supervisor(const detail::DriverArgs& args);
+  // Rank threads hold `this` while an attempt runs.
+  Supervisor(const Supervisor&) = delete;
+  Supervisor& operator=(const Supervisor&) = delete;
+  RunResult run();
+
+ private:
+  /// How the next attempt's ranks start.
+  enum class Launch {
+    kFresh,   // owner map from the DD partition, IA, then RC
+    kResume,  // every rank restores *restart_ (resume or rollback)
+    kAdopt,   // survivors restore their stash and adopt the dead shards;
+              // ghosts hold the dead seats in the collectives
+  };
+
+  void decompose();
+  void attempt(rt::Comm& comm);
+  /// Recoverable roots of a failed attempt: injected crashes, transport
+  /// failures and health-declared deaths. Empty when the failure is a bug.
+  [[nodiscard]] std::vector<Rank> classify(
+      const rt::World::RunReport& report) const;
+  /// Charges one recovery and applies the first ladder rung whose budget is
+  /// unspent and whose preconditions hold; rethrows when none does.
+  void recover(const rt::World::RunReport& report,
+               const std::vector<Rank>& roots);
+  void adopt();
+  void rollback();
+  /// Serializes every survivor's state into stash_ and returns one of them
+  /// (their cursors agree); RecoveryError when no rank survived.
+  const RankEngine& stash_survivors();
+  void note_recovery(const char* kind, const char* instant,
+                     std::size_t event_step, std::size_t at_step);
+  void resolve_pending_mttr();
+  /// Schedule batches at or before `step` (the next batch a snapshot taken
+  /// after that step resumes from).
+  [[nodiscard]] std::size_t batches_through(std::size_t step) const;
+
+  // ---- result assembly, after the last attempt joined ----
+  void assemble_checkpoint();
+  void assemble_values();
+  void assemble_steps();
+  void fold_metrics();
+  void emit_done();
+
+  Graph& graph_;
+  const EngineConfig& cfg_;
+  const Checkpoint& resume_;
+  const bool resuming_;
+  serve::ServeContext* const serve_;
+  EventSchedule live_sched_;
+  const EventSchedule* const schedule_;
+
+  RunResult out_;
+  Timer wall_;
   // Observability. One Tracer spans all supervised attempts (failed
   // attempts' spans stay in the rings, so the trace shows the whole
   // recovery story), and one metrics registry per rank accumulates across
   // attempts for honest failed-work accounting; both are merged after the
-  // rank world has joined.
-  std::unique_ptr<obs::Tracer> tracer;
+  // rank world has joined. The progress feed is driver-owned too, so its
+  // estimator state and sinks survive attempts; rank 0 emits per-step
+  // events, this thread emits recovery/done events while the world is
+  // joined — never concurrently.
+  std::unique_ptr<obs::Tracer> tracer_;
+  obs::TraceTrack* drv_ = nullptr;
+  std::vector<obs::MetricsRegistry> rank_metrics_;
+  std::unique_ptr<obs::ProgressEmitter> progress_;
+
+  Partition part_;
+  EdgeList edges_;  // the initial graph, for kFresh
+  std::vector<std::vector<std::byte>> slots_;  // checkpoint_at_step blobs
+  // One World is reused across supervised attempts so ledgers accumulate:
+  // work wasted by a failed attempt is honestly charged, and the
+  // injector's one-shot crash flags keep a replay from re-dying at the
+  // same point.
+  std::optional<rt::FaultInjector> injector_;
+  std::optional<PeriodicCheckpoints> periodic_;
+  rt::World world_;
+  std::vector<std::unique_ptr<RankEngine>> engines_;
+  std::vector<std::size_t> rc_steps_;
+
+  // Supervision state, rewritten between attempts and read-only while rank
+  // threads run.
+  Launch launch_;
+  const Checkpoint* restart_;  // kResume: &resume_ or &rollback_ck_
+  Checkpoint rollback_ck_;
+  std::vector<bool> dead_;
+  std::vector<std::vector<std::byte>> stash_;
+  std::vector<std::size_t> rung_used_;
+  std::size_t death_step_ = 0;  // furthest step any rank reached
+  // kAdopt: the survivors' restart cursors, the rewritten owner map O_new
+  // (dead ranks' vertices dealt onto the survivors), the driver's edge list
+  // at the cursor, and the dead seats the round-robin deal must skip.
+  std::size_t cursor_step_ = 0;
+  std::size_t cursor_batch_ = 0;
+  std::uint64_t cursor_vertices_added_ = 0;
+  std::vector<Rank> adopt_owner_;
+  EdgeList adopt_edges_;
+  std::vector<Rank> adopt_skip_;
+  // MTTR probe (docs/FAULTS.md §Recovery timing): the next attempt's ranks
+  // fetch-max steady-now into recovery_mark_ at their first completed step
+  // >= mttr_mark_step_; the pending RecoveryRecord is resolved against the
+  // death-declaration time at the next failure or at run completion.
+  std::atomic<std::int64_t> recovery_mark_{-1};
+  bool mttr_pending_ = false;
+  std::size_t mttr_mark_step_ = 0;
+  std::size_t mttr_record_idx_ = 0;
+  std::int64_t death_ns_ = 0;
+};
+
+Supervisor::Supervisor(const detail::DriverArgs& args)
+    : graph_(*args.graph),
+      cfg_(args.cfg),
+      resume_(args.resume != nullptr ? *args.resume : kNoResume),
+      resuming_(args.resuming),
+      serve_(args.serve),
+      live_sched_(serve_ != nullptr ? serve_->feed.journal_copy()
+                                    : EventSchedule{}),
+      schedule_(serve_ != nullptr ? &live_sched_ : args.schedule),
+      rank_metrics_(static_cast<std::size_t>(cfg_.num_ranks)),
+      slots_(static_cast<std::size_t>(cfg_.num_ranks)),
+      world_(cfg_.num_ranks, cfg_.transport),
+      engines_(static_cast<std::size_t>(cfg_.num_ranks)),
+      rc_steps_(static_cast<std::size_t>(cfg_.num_ranks), 0),
+      launch_(resuming_ ? Launch::kResume : Launch::kFresh),
+      restart_(&resume_),
+      dead_(static_cast<std::size_t>(cfg_.num_ranks), false),
+      stash_(static_cast<std::size_t>(cfg_.num_ranks)),
+      rung_used_(cfg_.recovery_policy.size(), 0) {
   if (cfg_.trace.enabled) {
     // Subtrack count covers the widest worker pool either phase can open.
-    tracer = std::make_unique<obs::Tracer>(
+    tracer_ = std::make_unique<obs::Tracer>(
         cfg_.num_ranks,
         std::max(resolve_worker_threads(cfg_.ia_threads, cfg_.num_ranks),
                  resolve_worker_threads(cfg_.rc_threads, cfg_.num_ranks)),
         cfg_.trace);
+    drv_ = &tracer_->driver();
   }
-  obs::TraceTrack* const drv = tracer ? &tracer->driver() : nullptr;
-  std::vector<obs::MetricsRegistry> rank_metrics(
-      static_cast<std::size_t>(cfg_.num_ranks));
-
-  // Progress feed (docs/OBSERVABILITY.md §Progress events). Driver-owned so
-  // the estimator state and sinks survive supervised attempts; rank 0 emits
-  // per-step events, this thread emits recovery/done events while the rank
-  // world is joined — never concurrently.
-  std::unique_ptr<obs::ProgressEmitter> progress;
   if (cfg_.progress.active()) {
-    progress = std::make_unique<obs::ProgressEmitter>(cfg_.progress);
-    if (!progress->file_ok()) {
+    progress_ = std::make_unique<obs::ProgressEmitter>(cfg_.progress);
+    if (!progress_->file_ok()) {
       // Telemetry is diagnostics: an unwritable path must not fail the run
       // (same policy as trace export).
       std::fprintf(stderr,
@@ -172,587 +302,435 @@ RunResult run_driver(const DriverArgs& args) {
                    cfg_.progress.path.c_str());
     }
   }
-
-  // ---- DD phase (driver side, like mpiexec distributing partitions).
-  // A resumed run skips it: the data distribution lives in the blobs. ----
-  Partition part;
-  if (!resuming_) {
-    const obs::ScopedSpan dd_span(drv, "dd");
-    Timer dd_timer;
-    Rng rng(cfg_.seed);
-    part = partition_graph(graph_, cfg_.num_ranks, cfg_.dd_partitioner, rng);
-    out.stats.dd_seconds = dd_timer.seconds();
-    out.stats.cut_edges_initial = evaluate_partition(graph_, part).cut_edges;
-  }
-
-  const auto edges = graph_.edges();
-
-  // Checkpoint slots (one blob per rank) when a checkpoint is requested.
-  const bool want_checkpoint = cfg_.checkpoint_at_step != kNoCheckpointStep;
-  std::vector<std::vector<std::byte>> slots(
-      static_cast<std::size_t>(cfg_.num_ranks));
-
-  // ---- IA + RC on the rank world, under supervision ----
-  // One World is reused across supervised attempts so ledgers accumulate:
-  // work wasted by a failed attempt is honestly charged, and the
-  // injector's one-shot crash flags keep a replay from re-dying at the
-  // same point.
-  std::optional<rt::FaultInjector> injector;
-  if (cfg_.faults.any()) injector.emplace(cfg_.faults);
-  std::optional<PeriodicCheckpoints> periodic;
-  if (cfg_.checkpoint_every > 0) periodic.emplace(cfg_.num_ranks);
-
-  rt::World world(cfg_.num_ranks, cfg_.transport);
-  if (injector) world.install_faults(&*injector);
-  if (cfg_.health.enabled) world.install_health(cfg_.health);
-  if (tracer) world.install_tracer(tracer.get());
+  if (cfg_.faults.any()) injector_.emplace(cfg_.faults);
+  if (cfg_.checkpoint_every > 0) periodic_.emplace(cfg_.num_ranks);
+  if (injector_) world_.install_faults(&*injector_);
+  if (cfg_.health.enabled) world_.install_health(cfg_.health);
+  if (tracer_) world_.install_tracer(tracer_.get());
   // Flow stamping rides the tracer: without one there is nowhere to record
   // the flow:send/flow:recv instants, so the wire stays unstamped (and
   // bit-identical to the v2.1 format).
-  world.install_flow_stamping(tracer != nullptr && cfg_.trace.flow_stamping);
+  world_.install_flow_stamping(tracer_ != nullptr && cfg_.trace.flow_stamping);
+}
 
-  std::vector<std::unique_ptr<RankEngine>> engines(
-      static_cast<std::size_t>(cfg_.num_ranks));
-  std::vector<std::size_t> rc_steps(static_cast<std::size_t>(cfg_.num_ranks), 0);
-
-  // Supervision state, rewritten between attempts and read-only while rank
-  // threads run.
-  enum class Mode { kFresh, kResume, kDegraded, kAdopt };
-  Mode mode = resuming_ ? Mode::kResume : Mode::kFresh;
-  Checkpoint restart = resume_;  // used in kResume
-  std::vector<bool> dead(static_cast<std::size_t>(cfg_.num_ranks), false);
-  std::vector<Rank> newly_dead;  // poison targets of the next degraded attempt
-  std::vector<std::vector<std::byte>> stash(
-      static_cast<std::size_t>(cfg_.num_ranks));
-  std::size_t degraded_step = 0;  // survivor restart cursors (degrade + adopt)
-  std::size_t degraded_batch = 0;
-  std::vector<Rank> ghost_owner;  // the map ghosts track (O_new under adopt)
-  std::uint64_t ghost_vertices_added = 0;
-  // Adoption plan (Mode::kAdopt): driver-owned copies of the dead ranks'
-  // snapshot blobs (AdoptShards holds pointers into them), the ranks the
-  // round-robin deal must skip, and per-ladder-rung budget accounting.
-  RankEngine::AdoptShards adopt_plan;
-  std::vector<std::vector<std::byte>> adopt_blobs;
-  std::vector<Rank> adopt_skip;
-  std::vector<std::size_t> rung_used(cfg_.recovery_policy.size(), 0);
-  // MTTR probe (docs/FAULTS.md §Recovery timing): the next attempt's ranks
-  // fetch-max steady-now into recovery_mark at their first completed step
-  // >= mttr_mark_step; the pending RecoveryRecord is resolved against the
-  // death-declaration time at the next failure or at run completion.
-  std::atomic<std::int64_t> recovery_mark{-1};
-  bool mttr_pending = false;
-  std::size_t mttr_mark_step = 0;
-  std::size_t mttr_record_idx = 0;
-  std::int64_t mttr_death_ns = 0;
-  const auto steady_ns = [] {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-  };
-  const auto resolve_pending_mttr = [&] {
-    if (!mttr_pending) return;
-    mttr_pending = false;
-    const std::int64_t mark = recovery_mark.load(std::memory_order_relaxed);
-    if (mark >= mttr_death_ns) {
-      out.stats.recovery_log[mttr_record_idx].mttr_seconds =
-          static_cast<double>(mark - mttr_death_ns) / 1e9;
-    }
-  };
-
-  const auto attempt_fn = [&](rt::Comm& comm) {
-    const auto me = static_cast<std::size_t>(comm.rank());
-    RankEngine::Init init;
-    init.me = comm.rank();
-    init.world = cfg_.num_ranks;
-    init.schedule = &schedule;
-    init.cfg = cfg_;
-    init.checkpoint_slot = &slots[me];
-    init.injector = injector ? &*injector : nullptr;
-    init.tracer = tracer.get();
-    init.metrics = &rank_metrics[me];
-    init.serve = serve;
-    // The driver rank emits; everyone else only feeds the gather. Rank 0
-    // keeps the emitter even as a ghost — the merged survivor data still
-    // flows through its seat in the collectives.
-    init.progress = me == 0 ? progress.get() : nullptr;
-    bool fresh = false;
-    switch (mode) {
-      case Mode::kFresh:
-        init.owner = part.assignment;
-        init.edges = &edges;
-        init.periodic = periodic ? &*periodic : nullptr;
-        fresh = true;
-        break;
-      case Mode::kResume:
-        init.restore_blob = &restart.rank_blobs[me];
-        init.start_step = restart.step + 1;
-        init.start_batch = restart.next_batch;
-        init.periodic = periodic ? &*periodic : nullptr;
-        break;
-      case Mode::kDegraded:
-        init.start_step = degraded_step;
-        init.start_batch = degraded_batch;
-        if (dead[me]) {
-          // A ghost keeps the dead rank's seat in the SPMD collectives: it
-          // owns no rows but tracks the owner map and consumes the event
-          // feed so the survivors' protocol is undisturbed.
-          init.ghost = true;
-          init.owner = ghost_owner;
-          init.edges = &edges;
-          init.start_vertices_added = ghost_vertices_added;
-        } else {
-          init.restore_blob = &stash[me];
-          init.poison_ranks = newly_dead;
-        }
-        break;
-      case Mode::kAdopt:
-        // Shard adoption (docs/FAULTS.md §Shard adoption): survivors restore
-        // their stash, then rebuild topology under the rewritten owner map
-        // and re-derive the adopted rows; ghosts hold the dead seats. The
-        // periodic store stays live so further deaths remain adoptable, and
-        // the round-robin deal skips the ghost seats on every rank.
-        init.start_step = degraded_step;
-        init.start_batch = degraded_batch;
-        init.periodic = periodic ? &*periodic : nullptr;
-        init.assign_skip = adopt_skip;
-        if (dead[me]) {
-          init.ghost = true;
-          init.owner = ghost_owner;
-          init.edges = &edges;
-          init.start_vertices_added = ghost_vertices_added;
-        } else {
-          init.restore_blob = &stash[me];
-          init.owner = ghost_owner;  // O_new rides in the owner field
-          init.adopt = &adopt_plan;
-        }
-        break;
-    }
-    if (mttr_pending) {
-      init.recovery_mark_step = mttr_mark_step;
-      init.recovery_mark = &recovery_mark;
-    }
-    // Constructed into the shared slot immediately so a failing rank's
-    // partial state is stashed for the supervisor (survivors' pending sends
-    // and cursors seed the next attempt).
-    engines[me] = std::make_unique<RankEngine>(init, comm);
-    RankEngine& engine = *engines[me];
-    if (fresh) {
-      engine.run_ia();
-      comm.barrier();  // IA/RC phase boundary
-    }
-    rc_steps[me] = engine.run_rc();
-  };
-
-  const auto rethrow_root = [](const rt::World::RunReport& report) {
-    for (const Rank r : report.failed) {
-      try {
-        std::rethrow_exception(report.errors[static_cast<std::size_t>(r)]);
-      } catch (const rt::PeerFailedError&) {
-        // collateral; keep looking for the root cause
-      }
-    }
-    std::rethrow_exception(
-        report.errors[static_cast<std::size_t>(report.failed.front())]);
-  };
-
+RunResult Supervisor::run() {
+  if (!resuming_) decompose();
   for (;;) {
     const rt::World::RunReport report = [&] {
-      const obs::ScopedSpan attempt_span(drv, "attempt");
-      return world.run_contained(attempt_fn);
+      const obs::ScopedSpan attempt_span(drv_, "attempt");
+      return world_.run_contained([this](rt::Comm& comm) { attempt(comm); });
     }();
     if (report.ok()) break;
     // The journal grew during the failed attempt; refresh the live schedule
-    // so replay windows and batch cursors are computed against everything
-    // rank 0 actually consumed.
-    if (live) live_sched = serve->feed.journal_copy();
-
-    // Classify: injected crashes and transport failures are recoverable
-    // roots; PeerFailedError is collateral damage on survivors; anything
-    // else (CheckpointError, logic errors) is a real bug and propagates.
-    std::vector<Rank> roots;
-    for (const Rank r : report.failed) {
-      try {
-        std::rethrow_exception(report.errors[static_cast<std::size_t>(r)]);
-      } catch (const rt::InjectedCrash&) {
-        roots.push_back(r);
-      } catch (const rt::PeerFailedError&) {
-        // survivor interrupted by a failed peer
-      } catch (const rt::TransportError&) {
-        roots.push_back(r);
-      }
-    }
-    // Health supervision can declare a wedged rank dead while the rank
-    // itself later returns without an exception of its own: union the
-    // declarations in so the ladder treats it as a root too.
-    for (const Rank r : world.declared_dead()) {
-      if (std::find(roots.begin(), roots.end(), r) == roots.end()) {
-        roots.push_back(r);
-      }
-    }
-    if (roots.empty()) rethrow_root(report);
-    if (out.stats.recoveries >= cfg_.max_recoveries) rethrow_root(report);
-    ++out.stats.recoveries;
-    // MTTR bookkeeping: a probe from the previous recovery resolves now
-    // (the run got this far, so the mark is final), then the death
-    // declaration for this failure is timestamped.
-    resolve_pending_mttr();
-    const std::int64_t death_ns = steady_ns();
-    std::size_t death_step = 0;
-    for (const auto& engine : engines) {
-      if (engine != nullptr) {
-        death_step = std::max(death_step, engine->current_step());
-      }
-    }
-    for (const Rank r : roots) dead[static_cast<std::size_t>(r)] = true;
-    // Recovery events are emitted from this (driver) thread; the rank
-    // world has joined, so sinks stay single-writer.
-    const auto emit_recovery = [&](const char* kind, std::size_t at_step) {
-      if (!progress) return;
-      progress->recoveries = out.stats.recoveries;
-      obs::ProgressEvent ev;
-      ev.phase = "recovery";
-      ev.detail = kind;
-      ev.step = at_step;
-      ev.ranks = cfg_.num_ranks;
-      ev.recoveries = out.stats.recoveries;
-      progress->emit(ev);
-    };
-    const auto push_record = [&](const char* kind, std::size_t at_step,
-                                 std::size_t mark_step) {
-      out.stats.recovery_log.push_back({kind, at_step, -1.0});
-      mttr_pending = true;
-      mttr_record_idx = out.stats.recovery_log.size() - 1;
-      mttr_mark_step = mark_step;
-      mttr_death_ns = death_ns;
-      recovery_mark.store(-1, std::memory_order_relaxed);
-    };
-
-    // Every survivor stopped blocked in the same step's collective (crashes
-    // fire at the step top or mid-exchange, both before ingest), so their
-    // cursors agree; verify, then stash their state for restore. Shared by
-    // the adopt and degrade rungs.
-    const auto stash_survivors = [&]() -> const RankEngine* {
-      const RankEngine* witness = nullptr;
-      for (Rank r = 0; r < cfg_.num_ranks; ++r) {
-        const auto idx = static_cast<std::size_t>(r);
-        if (dead[idx]) continue;
-        AACC_CHECK_MSG(engines[idx] != nullptr,
-                       "survivor rank " << r << " has no stashed engine");
-        const RankEngine& eng = *engines[idx];
-        if (witness == nullptr) {
-          witness = &eng;
-        } else {
-          AACC_CHECK_MSG(eng.current_step() == witness->current_step() &&
-                             eng.current_batch() == witness->current_batch(),
-                         "survivors stopped at different cursors; a partial "
-                         "restart would be incoherent (rank "
-                             << r << " at step " << eng.current_step()
-                             << " batch " << eng.current_batch()
-                             << ", witness at step " << witness->current_step()
-                             << " batch " << witness->current_batch() << ")");
-        }
-        rt::ByteWriter w;
-        eng.serialize_state(w);
-        stash[idx] = w.take();
-      }
-      AACC_CHECK_MSG(witness != nullptr,
-                     "all ranks failed; nothing to recover on");
-      return witness;
-    };
-
-    // ---- rung: shard adoption (docs/FAULTS.md §Shard adoption). The dead
-    // ranks' rows move to the survivors: structure from their latest
-    // snapshot blobs + structural journal replay, values re-derived from
-    // the survivors' live state. Zero lost vertices, no global rollback. --
-    const auto try_adopt = [&] {
-      if (!periodic) {
-        throw RecoveryError(
-            "adoption requires periodic snapshots (checkpoint_every > 0)");
-      }
-      if (cfg_.add_mode == EdgeAddMode::kEager) {
-        throw RecoveryError(
-            "adoption requires seeded edge adds (EdgeAddMode::kEager "
-            "broadcasts rows the adopted vertices do not have yet)");
-      }
-      if (cfg_.assign != AssignStrategy::kRoundRobin) {
-        throw RecoveryError(
-            "adoption requires round-robin vertex assignment (the "
-            "ghost-skipping deal is only defined there)");
-      }
-      if (cfg_.rebalance_threshold != 0.0) {
-        throw RecoveryError(
-            "adoption requires automatic rebalancing off (a repartition "
-            "would migrate rows back onto ghost seats)");
-      }
-      // Every newly dead rank must have snapshotted at least once, and its
-      // blob must be structurally sound.
-      std::vector<std::pair<Rank, std::pair<std::size_t, std::vector<std::byte>>>>
-          snaps;
-      for (const Rank r : roots) {
-        auto snap = periodic->latest_for(r);
-        if (!snap) {
-          throw RecoveryError("adoption source rank " + std::to_string(r) +
-                              " has no periodic snapshot yet");
-        }
-        try {
-          validate_shard_blob(snap->second, r);
-        } catch (const CheckpointError& e) {
-          throw RecoveryError(e.what());
-        }
-        snaps.emplace_back(r, std::move(*snap));
-      }
-      const RankEngine* witness = stash_survivors();
-      degraded_step = witness->current_step();
-      degraded_batch = witness->current_batch();
-      ghost_vertices_added = witness->vertices_added();
-      // O_new: the witness map (its tombstones are current) with every
-      // newly dead rank's alive vertices dealt round-robin onto the
-      // ascending survivors.
-      std::vector<Rank> owner = witness->local_graph().owner_map();
-      std::vector<Rank> survivors;
-      adopt_skip.clear();
-      for (Rank r = 0; r < cfg_.num_ranks; ++r) {
-        if (dead[static_cast<std::size_t>(r)]) {
-          adopt_skip.push_back(r);
-        } else {
-          survivors.push_back(r);
-        }
-      }
-      std::vector<bool> adopting(static_cast<std::size_t>(cfg_.num_ranks),
-                                 false);
-      for (const Rank r : roots) adopting[static_cast<std::size_t>(r)] = true;
-      std::size_t deal = 0;
-      for (VertexId v = 0; v < owner.size(); ++v) {
-        const Rank o = owner[v];
-        if (o == kNoRank || !adopting[static_cast<std::size_t>(o)]) continue;
-        owner[v] = survivors[deal % survivors.size()];
-        ++deal;
-      }
-      // Structural replay window: every fact in a batch at or before a
-      // source's snapshot step is inside that blob, so only batches after
-      // the *oldest* snapshot need replaying.
-      adopt_blobs.clear();
-      adopt_plan.sources.clear();
-      std::size_t replay_from = degraded_batch;
-      adopt_blobs.reserve(snaps.size());
-      for (auto& [src, snap] : snaps) {
-        (void)src;
-        std::size_t first_after = 0;
-        for (const EventBatch& b : schedule) {
-          if (b.at_step > snap.first) break;
-          ++first_after;
-        }
-        replay_from = std::min(replay_from, first_after);
-        adopt_blobs.push_back(std::move(snap.second));
-      }
-      for (std::size_t i = 0; i < snaps.size(); ++i) {
-        adopt_plan.sources.emplace_back(snaps[i].first, &adopt_blobs[i]);
-      }
-      adopt_plan.replay_from_batch = replay_from;
-      ghost_owner = std::move(owner);
-      // No portal poisoning: the graph did not change, so remote finite
-      // values stay sound upper bounds and adopted rows re-derive quietly.
-      newly_dead.clear();
-      if (live) serve->adopted.store(true, std::memory_order_release);
-      mode = Mode::kAdopt;
-      if (drv != nullptr) {
-        drv->instant("recovery:adopt", "attempt", out.stats.recoveries);
-      }
-      emit_recovery("adopt", degraded_step);
-      push_record("adopt", degraded_step, degraded_step);
-    };
-
-    // ---- rung: checkpoint rollback: replay from the newest snapshot every
-    // rank holds; replay is deterministic, so the final state is
-    // bit-identical to a fault-free run. No snapshot yet -> restart the
-    // whole run from scratch (also bit-identical). ----
-    const auto try_rollback = [&] {
-      if (!periodic) {
-        throw RecoveryError(
-            "rollback requires periodic snapshots (checkpoint_every > 0)");
-      }
-      if (auto ck = periodic->latest_consistent()) {
-        ck->next_batch = 0;
-        for (const EventBatch& b : schedule) {
-          if (b.at_step <= ck->step) ++ck->next_batch;
-        }
-        restart = std::move(*ck);
-        mode = Mode::kResume;
-      } else {
-        mode = resuming_ ? Mode::kResume : Mode::kFresh;
-        restart = resume_;
-      }
-      // The whole-world replay resurrects every seat: ghosts and any prior
-      // degraded verdict are wiped.
-      std::fill(dead.begin(), dead.end(), false);
-      newly_dead.clear();
-      out.degraded = false;
-      if (live) {
-        // The replay resurrects every seat; snapshots published by the next
-        // attempt drop the degraded/adopted provenance again.
-        serve->degraded.store(false, std::memory_order_release);
-        serve->adopted.store(false, std::memory_order_release);
-      }
-      if (drv != nullptr) {
-        drv->instant("recovery:rollback", "attempt", out.stats.recoveries);
-      }
-      emit_recovery("rollback", mode == Mode::kResume ? restart.step : 0);
-      push_record("rollback", death_step, death_step);
-    };
-
-    // ---- rung: degraded fallback. The root ranks' rows are lost;
-    // survivors carry on and the result reports the exact coverage gap. --
-    const auto try_degrade = [&] {
-      if (cfg_.add_mode == EdgeAddMode::kEager ||
-          cfg_.assign == AssignStrategy::kRepartition ||
-          cfg_.rebalance_threshold != 0.0) {
-        throw RecoveryError(
-            "degraded fallback requires seeded adds and a fixed partition "
-            "(enable checkpoint_every for full recovery)");
-      }
-      newly_dead = roots;
-      const RankEngine* witness = stash_survivors();
-      degraded_step = witness->current_step();
-      degraded_batch = witness->current_batch();
-      ghost_owner = witness->local_graph().owner_map();
-      ghost_vertices_added = witness->vertices_added();
-      mode = Mode::kDegraded;
-      out.degraded = true;
-      if (live) serve->degraded.store(true, std::memory_order_release);
-      if (drv != nullptr) {
-        drv->instant("recovery:degraded", "attempt", out.stats.recoveries);
-      }
-      emit_recovery("degraded", degraded_step);
-      push_record("degraded", degraded_step, degraded_step);
-    };
-
-    // ---- walk the policy ladder: the first rung with unspent budget whose
-    // preconditions hold serves the recovery. RecoveryError falls through
-    // to the next rung; an exhausted ladder rethrows the last precondition
-    // failure (or the failure's root cause when only budgets ran out). ----
-    bool handled = false;
-    std::exception_ptr precondition_failure;
-    for (std::size_t i = 0; i < cfg_.recovery_policy.size() && !handled; ++i) {
-      const RecoveryRung& rung = cfg_.recovery_policy[i];
-      if (rung.budget != 0 && rung_used[i] >= rung.budget) continue;
-      try {
-        switch (rung.policy) {
-          case RecoveryPolicy::kAdopt:
-            try_adopt();
-            break;
-          case RecoveryPolicy::kRollback:
-            try_rollback();
-            break;
-          case RecoveryPolicy::kDegrade:
-            try_degrade();
-            break;
-        }
-        ++rung_used[i];
-        handled = true;
-      } catch (const RecoveryError&) {
-        precondition_failure = std::current_exception();
-      }
-    }
-    if (!handled) {
-      if (precondition_failure) std::rethrow_exception(precondition_failure);
-      rethrow_root(report);
-    }
+    // so cursors and the adoption graph see everything rank 0 consumed.
+    if (serve_ != nullptr) live_sched_ = serve_->feed.journal_copy();
+    recover(report, classify(report));
   }
   resolve_pending_mttr();
   // Final refresh: the result must reflect every batch the closed feed's
   // journal recorded (the rank world is joined; the journal is final).
-  if (live) live_sched = serve->feed.journal_copy();
+  if (serve_ != nullptr) live_sched_ = serve_->feed.journal_copy();
 
-  if (want_checkpoint && !slots[0].empty()) {
-    out.checkpoint.rank_blobs = std::move(slots);
-    out.checkpoint.step = cfg_.checkpoint_at_step;
-    out.checkpoint.num_ranks = cfg_.num_ranks;
-    out.checkpoint.next_batch = 0;
-    for (const EventBatch& b : schedule) {
-      if (b.at_step <= cfg_.checkpoint_at_step) ++out.checkpoint.next_batch;
+  assemble_checkpoint();
+  if (drv_ != nullptr) drv_->begin("result_assembly");
+  assemble_values();
+  assemble_steps();
+  if (drv_ != nullptr) drv_->end("result_assembly");
+  fold_metrics();
+  out_.stats.wall_seconds = wall_.seconds();
+  if (progress_) emit_done();
+  if (tracer_) {
+    out_.trace = tracer_->merge();
+    if (!cfg_.trace.path.empty() &&
+        !obs::write_chrome_trace_file(cfg_.trace.path, out_.trace)) {
+      // Tracing is diagnostics: an unwritable path must not fail the run.
+      std::fprintf(stderr, "[aacc] warning: could not write trace to %s\n",
+                   cfg_.trace.path.c_str());
     }
   }
+  return std::move(out_);
+}
 
-  // ---- driver-side ground truth and result assembly ----
-  if (drv != nullptr) drv->begin("result_assembly");
-  if (out.checkpoint.valid()) {
+void Supervisor::decompose() {
+  // DD phase (driver side, like mpiexec distributing partitions). A resumed
+  // run skips it: the data distribution lives in the blobs.
+  const obs::ScopedSpan dd_span(drv_, "dd");
+  Timer dd_timer;
+  Rng rng(cfg_.seed);
+  part_ = partition_graph(graph_, cfg_.num_ranks, cfg_.dd_partitioner, rng);
+  out_.stats.dd_seconds = dd_timer.seconds();
+  out_.stats.cut_edges_initial = evaluate_partition(graph_, part_).cut_edges;
+  edges_ = graph_.edges();
+}
+
+void Supervisor::attempt(rt::Comm& comm) {
+  const auto me = static_cast<std::size_t>(comm.rank());
+  RankEngine::Init init;
+  init.me = comm.rank();
+  init.world = cfg_.num_ranks;
+  init.schedule = schedule_;
+  init.cfg = cfg_;
+  init.checkpoint_slot = &slots_[me];
+  init.periodic = periodic_ ? &*periodic_ : nullptr;
+  init.injector = injector_ ? &*injector_ : nullptr;
+  init.tracer = tracer_.get();
+  init.metrics = &rank_metrics_[me];
+  init.serve = serve_;
+  // The driver rank emits; everyone else only feeds the gather. Rank 0
+  // keeps the emitter even as a ghost — the merged survivor data still
+  // flows through its seat in the collectives.
+  init.progress = me == 0 ? progress_.get() : nullptr;
+  switch (launch_) {
+    case Launch::kFresh:
+      init.owner = part_.assignment;
+      init.edges = &edges_;
+      break;
+    case Launch::kResume:
+      init.restore_blob = &restart_->rank_blobs[me];
+      init.start_step = restart_->step + 1;
+      init.start_batch = restart_->next_batch;
+      break;
+    case Launch::kAdopt:
+      // Shard adoption (docs/FAULTS.md §Shard adoption): survivors restore
+      // their stash, then rebuild topology from O_new and the cursor graph
+      // and re-derive the adopted rows. A ghost owns no rows but tracks
+      // the owner map and consumes the event feed, so the survivors'
+      // protocol is undisturbed. The round-robin deal skips the ghost seats
+      // on every rank.
+      init.start_step = cursor_step_;
+      init.start_batch = cursor_batch_;
+      init.owner = adopt_owner_;
+      init.edges = &adopt_edges_;
+      init.assign_skip = adopt_skip_;
+      if (dead_[me]) {
+        init.ghost = true;
+        init.start_vertices_added = cursor_vertices_added_;
+      } else {
+        init.restore_blob = &stash_[me];
+        init.adopt = true;
+      }
+      break;
+  }
+  if (mttr_pending_) {
+    init.recovery_mark_step = mttr_mark_step_;
+    init.recovery_mark = &recovery_mark_;
+  }
+  // Constructed into the shared slot immediately so a failing rank's
+  // partial state is stashed for the supervisor (survivors' pending sends
+  // and cursors seed the next attempt).
+  engines_[me] = std::make_unique<RankEngine>(init, comm);
+  RankEngine& engine = *engines_[me];
+  if (launch_ == Launch::kFresh) {
+    engine.run_ia();
+    comm.barrier();  // IA/RC phase boundary
+  }
+  rc_steps_[me] = engine.run_rc();
+}
+
+std::vector<Rank> Supervisor::classify(
+    const rt::World::RunReport& report) const {
+  // Injected crashes and transport failures are recoverable roots;
+  // PeerFailedError is collateral damage on survivors; anything else
+  // (CheckpointError, logic errors) is a real bug and propagates.
+  std::vector<Rank> roots;
+  for (const Rank r : report.failed) {
+    try {
+      std::rethrow_exception(report.errors[static_cast<std::size_t>(r)]);
+    } catch (const rt::InjectedCrash&) {
+      roots.push_back(r);
+    } catch (const rt::PeerFailedError&) {
+      // survivor interrupted by a failed peer
+    } catch (const rt::TransportError&) {
+      roots.push_back(r);
+    }
+  }
+  // Health supervision can declare a wedged rank dead while the rank
+  // itself later returns without an exception of its own: union the
+  // declarations in so the ladder treats it as a root too.
+  for (const Rank r : world_.declared_dead()) {
+    if (std::find(roots.begin(), roots.end(), r) == roots.end()) {
+      roots.push_back(r);
+    }
+  }
+  return roots;
+}
+
+void Supervisor::recover(const rt::World::RunReport& report,
+                         const std::vector<Rank>& roots) {
+  if (roots.empty()) rethrow_root(report);
+  if (out_.stats.recoveries >= cfg_.max_recoveries) rethrow_root(report);
+  ++out_.stats.recoveries;
+  // MTTR bookkeeping: a probe from the previous recovery resolves now (the
+  // run got this far, so the mark is final), then the death declaration
+  // for this failure is timestamped.
+  resolve_pending_mttr();
+  death_ns_ = steady_ns();
+  death_step_ = 0;
+  for (const auto& engine : engines_) {
+    if (engine != nullptr) {
+      death_step_ = std::max(death_step_, engine->current_step());
+    }
+  }
+  for (const Rank r : roots) dead_[static_cast<std::size_t>(r)] = true;
+
+  // Walk the ladder: RecoveryError falls through to the next rung; an
+  // exhausted ladder rethrows the last precondition failure (or the
+  // failure's root cause when only budgets ran out).
+  std::exception_ptr precondition_failure;
+  for (std::size_t i = 0; i < cfg_.recovery_policy.size(); ++i) {
+    const RecoveryRung& rung = cfg_.recovery_policy[i];
+    if (rung.budget != 0 && rung_used_[i] >= rung.budget) continue;
+    try {
+      switch (rung.policy) {
+        case RecoveryPolicy::kAdopt:
+          adopt();
+          break;
+        case RecoveryPolicy::kRollback:
+          rollback();
+          break;
+      }
+      ++rung_used_[i];
+      return;
+    } catch (const RecoveryError&) {
+      precondition_failure = std::current_exception();
+    }
+  }
+  if (precondition_failure) std::rethrow_exception(precondition_failure);
+  rethrow_root(report);
+}
+
+// Rung: shard adoption (docs/FAULTS.md §Shard adoption). The dead ranks'
+// rows move to the survivors: structure from the driver's graph at the
+// survivors' batch cursor, values re-derived from the survivors' live
+// state. No snapshot, no global rollback, nothing lost.
+void Supervisor::adopt() {
+  if (cfg_.add_mode == EdgeAddMode::kEager) {
+    throw RecoveryError(
+        "adoption requires seeded edge adds (EdgeAddMode::kEager "
+        "broadcasts rows the adopted vertices do not have yet)");
+  }
+  if (cfg_.assign != AssignStrategy::kRoundRobin) {
+    throw RecoveryError(
+        "adoption requires round-robin vertex assignment (the "
+        "ghost-skipping deal is only defined there)");
+  }
+  if (cfg_.rebalance_threshold != 0.0) {
+    throw RecoveryError(
+        "adoption requires automatic rebalancing off (a repartition "
+        "would migrate rows back onto ghost seats)");
+  }
+  const RankEngine& witness = stash_survivors();
+  cursor_step_ = witness.current_step();
+  cursor_batch_ = witness.current_batch();
+  cursor_vertices_added_ = witness.vertices_added();
+  // O_new: the witness map (its tombstones are current) with every newly
+  // dead rank's vertices dealt round-robin onto the ascending survivors.
+  // Ranks that died earlier own nothing any more.
+  std::vector<Rank> survivors;
+  adopt_skip_.clear();
+  for (Rank r = 0; r < cfg_.num_ranks; ++r) {
+    (dead_[static_cast<std::size_t>(r)] ? adopt_skip_ : survivors).push_back(r);
+  }
+  adopt_owner_ = witness.local_graph().owner_map();
+  std::size_t deal = 0;
+  for (Rank& o : adopt_owner_) {
+    if (o == kNoRank || !dead_[static_cast<std::size_t>(o)]) continue;
+    o = survivors[deal % survivors.size()];
+    ++deal;
+  }
+  // The authoritative graph at the cursor: the initial graph with every
+  // batch the survivors consumed applied, exactly what their LocalGraphs
+  // hold. Every rank builds its topology from its edge list.
+  AACC_CHECK(cursor_batch_ <= schedule_->size());
+  Graph at_cursor = graph_;
+  for (std::size_t b = 0; b < cursor_batch_; ++b) {
+    for (const Event& e : (*schedule_)[b].events) apply_event(at_cursor, e);
+  }
+  adopt_edges_ = at_cursor.edges();
+  if (serve_ != nullptr) serve_->adopted.store(true, std::memory_order_release);
+  launch_ = Launch::kAdopt;
+  note_recovery("adopt", "recovery:adopt", cursor_step_, cursor_step_);
+}
+
+const RankEngine& Supervisor::stash_survivors() {
+  // Every survivor stopped blocked in the same step's collective (crashes
+  // fire at the step top or mid-exchange, both before ingest), so their
+  // cursors agree; verify, then stash their state for restore.
+  const RankEngine* witness = nullptr;
+  for (Rank r = 0; r < cfg_.num_ranks; ++r) {
+    const auto idx = static_cast<std::size_t>(r);
+    if (dead_[idx]) continue;
+    AACC_CHECK_MSG(engines_[idx] != nullptr,
+                   "survivor rank " << r << " has no stashed engine");
+    const RankEngine& eng = *engines_[idx];
+    if (witness == nullptr) {
+      witness = &eng;
+    } else {
+      AACC_CHECK_MSG(eng.current_step() == witness->current_step() &&
+                         eng.current_batch() == witness->current_batch(),
+                     "survivors stopped at different cursors; a partial "
+                     "restart would be incoherent (rank "
+                         << r << " at step " << eng.current_step()
+                         << " batch " << eng.current_batch()
+                         << ", witness at step " << witness->current_step()
+                         << " batch " << witness->current_batch() << ")");
+    }
+    rt::ByteWriter w;
+    eng.serialize_state(w);
+    stash_[idx] = w.take();
+  }
+  if (witness == nullptr) {
+    throw RecoveryError("adoption needs a surviving rank: all " +
+                        std::to_string(cfg_.num_ranks) + " ranks failed");
+  }
+  return *witness;
+}
+
+// Rung: whole-world rollback. Every rank replays from the newest snapshot
+// all ranks hold, or from the start of the run without one; replay is
+// deterministic, so the final state is bit-identical to a fault-free run.
+void Supervisor::rollback() {
+  std::optional<Checkpoint> ck;
+  if (periodic_) ck = periodic_->latest_consistent();
+  if (ck) {
+    ck->next_batch = batches_through(ck->step);
+    rollback_ck_ = std::move(*ck);
+    restart_ = &rollback_ck_;
+    launch_ = Launch::kResume;
+  } else {
+    restart_ = &resume_;
+    launch_ = resuming_ ? Launch::kResume : Launch::kFresh;
+  }
+  // The whole-world replay resurrects every seat; snapshots published by
+  // the next attempt drop the adopted provenance again.
+  std::fill(dead_.begin(), dead_.end(), false);
+  if (serve_ != nullptr) {
+    serve_->adopted.store(false, std::memory_order_release);
+  }
+  note_recovery("rollback", "recovery:rollback",
+                launch_ == Launch::kResume ? restart_->step : 0, death_step_);
+}
+
+void Supervisor::note_recovery(const char* kind, const char* instant,
+                               std::size_t event_step, std::size_t at_step) {
+  if (drv_ != nullptr) drv_->instant(instant, "attempt", out_.stats.recoveries);
+  if (progress_) {
+    // Emitted from this (driver) thread; the rank world has joined, so
+    // sinks stay single-writer.
+    progress_->recoveries = out_.stats.recoveries;
+    obs::ProgressEvent ev;
+    ev.phase = "recovery";
+    ev.detail = kind;
+    ev.step = event_step;
+    ev.ranks = cfg_.num_ranks;
+    ev.recoveries = out_.stats.recoveries;
+    progress_->emit(ev);
+  }
+  out_.stats.recovery_log.push_back({kind, at_step, -1.0});
+  mttr_pending_ = true;
+  mttr_record_idx_ = out_.stats.recovery_log.size() - 1;
+  mttr_mark_step_ = at_step;
+  recovery_mark_.store(-1, std::memory_order_relaxed);
+}
+
+void Supervisor::resolve_pending_mttr() {
+  if (!mttr_pending_) return;
+  mttr_pending_ = false;
+  const std::int64_t mark = recovery_mark_.load(std::memory_order_relaxed);
+  if (mark >= death_ns_) {
+    out_.stats.recovery_log[mttr_record_idx_].mttr_seconds =
+        static_cast<double>(mark - death_ns_) / 1e9;
+  }
+}
+
+std::size_t Supervisor::batches_through(std::size_t step) const {
+  std::size_t n = 0;
+  for (const EventBatch& b : *schedule_) {
+    if (b.at_step <= step) ++n;
+  }
+  return n;
+}
+
+void Supervisor::assemble_checkpoint() {
+  if (cfg_.checkpoint_at_step == kNoCheckpointStep || slots_[0].empty()) {
+    return;
+  }
+  out_.checkpoint.rank_blobs = std::move(slots_);
+  out_.checkpoint.step = cfg_.checkpoint_at_step;
+  out_.checkpoint.num_ranks = cfg_.num_ranks;
+  out_.checkpoint.next_batch = batches_through(cfg_.checkpoint_at_step);
+}
+
+void Supervisor::assemble_values() {
+  // Driver-side ground truth.
+  if (out_.checkpoint.valid()) {
     // The run stopped at the checkpoint: only the consumed batches are in
     // the distributed state.
-    for (std::size_t b = 0; b < out.checkpoint.next_batch; ++b) {
-      for (const Event& e : schedule[b].events) apply_event(graph_, e);
+    for (std::size_t b = 0; b < out_.checkpoint.next_batch; ++b) {
+      for (const Event& e : (*schedule_)[b].events) apply_event(graph_, e);
     }
   } else {
-    apply_schedule(graph_, schedule);
+    apply_schedule(graph_, *schedule_);
   }
   const VertexId n = graph_.num_vertices();
 
-  out.closeness.assign(n, 0.0);
-  out.harmonic.assign(n, 0.0);
+  out_.closeness.assign(n, 0.0);
+  out_.harmonic.assign(n, 0.0);
   if (cfg_.gather_apsp) {
-    out.apsp.assign(n, std::vector<Dist>(n, kInfDist));
-    out.first_hop.assign(n, std::vector<VertexId>(n, kNoVertex));
+    out_.apsp.assign(n, std::vector<Dist>(n, kInfDist));
+    out_.first_hop.assign(n, std::vector<VertexId>(n, kNoVertex));
   }
-  for (const auto& engine : engines) {
+  for (const auto& engine : engines_) {
     const DvStore& store = engine->store();
     for (std::size_t r = 0; r < store.size(); ++r) {
       AACC_CHECK(store.columns(r) == n);
       const VertexId self = store.self(r);
-      out.closeness[self] = store.closeness(r);
-      out.harmonic[self] = store.harmonic(r);
+      out_.closeness[self] = store.closeness(r);
+      out_.harmonic[self] = store.harmonic(r);
       if (cfg_.gather_apsp) {
         // Full-matrix gather needs the dense rows; promotion here is fine
         // (the run is over and gather_apsp implies dense-scale memory).
         const DvRow& row = store.row(r);
-        out.apsp[self] = row.dists();
-        out.first_hop[self] = row.next_hops();
+        out_.apsp[self] = row.dists();
+        out_.first_hop[self] = row.next_hops();
       }
     }
   }
   if (cfg_.gather_apsp) {
     for (VertexId v = 0; v < n; ++v) {
-      if (graph_.is_alive(v)) out.apsp[v][v] = 0;
+      if (graph_.is_alive(v)) out_.apsp[v][v] = 0;
     }
   }
 
   // Final distribution metrics (Fig. 7's "new cut-edges" comes from
   // cut_edges_final - cut_edges_initial).
-  out.final_owner = engines[0]->local_graph().owner_map();
-  {
-    Partition final_part;
-    final_part.num_parts = cfg_.num_ranks;
-    final_part.assignment = out.final_owner;
-    const auto m = evaluate_partition(graph_, final_part);
-    out.stats.cut_edges_final = m.cut_edges;
-    out.stats.imbalance_final = m.imbalance;
-  }
+  out_.final_owner = engines_[0]->local_graph().owner_map();
+  Partition final_part;
+  final_part.num_parts = cfg_.num_ranks;
+  final_part.assignment = out_.final_owner;
+  const auto m = evaluate_partition(graph_, final_part);
+  out_.stats.cut_edges_final = m.cut_edges;
+  out_.stats.imbalance_final = m.imbalance;
 
-  if (out.degraded) {
-    // Exact coverage gap: every alive vertex whose row died with its rank
-    // (including vertices round-robined onto a ghost after the failure).
-    for (VertexId v = 0; v < n; ++v) {
-      if (graph_.is_alive(v) &&
-          dead[static_cast<std::size_t>(out.final_owner[v])]) {
-        out.lost_vertices.push_back(v);
-      }
-    }
+  for (const auto& engine : engines_) {
+    out_.stats.invariant_violations += engine->invariant_violations();
   }
+}
 
-  for (const auto& engine : engines) {
-    out.stats.invariant_violations += engine->invariant_violations();
-  }
-
+void Supervisor::assemble_steps() {
   // Per-step aggregates (rank logs hold cumulative counters). On a resumed
   // run the log covers only the steps executed here; `step` fields stay
   // absolute.
-  out.stats.rc_steps = rc_steps[0];
-  const std::size_t steps = engines[0]->step_log().size();
-  out.stats.steps.resize(steps);
-  for (const auto& engine : engines) {
+  RunStats& stats = out_.stats;
+  stats.rc_steps = rc_steps_[0];
+  const std::size_t steps = engines_[0]->step_log().size();
+  stats.steps.resize(steps);
+  for (const auto& engine : engines_) {
     const auto& log = engine->step_log();
     AACC_CHECK(log.size() == steps);
     StepLocal prev{};
     for (std::size_t s = 0; s < steps; ++s) {
-      StepStats& agg = out.stats.steps[s];
+      StepStats& agg = stats.steps[s];
       agg.step = log[s].step;
       agg.bytes += log[s].bytes_sent - prev.bytes_sent;
       agg.relaxations += log[s].relaxations - prev.relaxations;
@@ -774,41 +752,39 @@ RunResult run_driver(const DriverArgs& args) {
       prev = log[s];
     }
   }
-  for (const StepStats& s : out.stats.steps) {
-    out.stats.rc_drain_cpu_seconds += s.sum_drain_cpu_seconds;
-    out.stats.rc_exchange_wait_seconds += s.sum_exchange_wait_seconds;
+  for (const StepStats& s : stats.steps) {
+    stats.rc_drain_cpu_seconds += s.sum_drain_cpu_seconds;
+    stats.rc_exchange_wait_seconds += s.sum_exchange_wait_seconds;
     if (s.blocked_on_rank >= 0) {
-      out.stats.rc_blocked_on_seconds += s.max_blocked_seconds;
-      out.stats.rc_blocked_on_by_rank[s.blocked_on_rank] +=
-          s.max_blocked_seconds;
+      stats.rc_blocked_on_seconds += s.max_blocked_seconds;
+      stats.rc_blocked_on_by_rank[s.blocked_on_rank] += s.max_blocked_seconds;
     }
   }
 
   // Anytime quality snapshots.
   if (cfg_.record_step_quality) {
-    out.step_harmonic.assign(steps, std::vector<double>(n, 0.0));
-    for (const auto& engine : engines) {
+    out_.step_harmonic.assign(
+        steps, std::vector<double>(graph_.num_vertices(), 0.0));
+    for (const auto& engine : engines_) {
       const auto& snaps = engine->step_quality();
       for (std::size_t s = 0; s < snaps.size() && s < steps; ++s) {
-        for (const auto& [v, c] : snaps[s]) {
-          out.step_harmonic[s][v] = c;
-        }
+        for (const auto& [v, c] : snaps[s]) out_.step_harmonic[s][v] = c;
       }
     }
   }
+}
 
-  if (drv != nullptr) drv->end("result_assembly");
-
-  // ---- world-level accounting, folded through the metrics registry ----
-  // The runtime ledgers land in each rank's registry first and RunStats
-  // reads the merged registry back, so the two views cannot disagree
+void Supervisor::fold_metrics() {
+  // World-level accounting, folded through the metrics registry. The
+  // runtime ledgers land in each rank's registry first and RunStats reads
+  // the merged registry back, so the two views cannot disagree
   // (docs/OBSERVABILITY.md: the registry is the single source of truth).
   // Gauges fold per rank in rank order, replicating the double-summation
   // order of the World::total_* helpers bit for bit.
-  const auto& ledgers = world.ledgers();
+  const auto& ledgers = world_.ledgers();
   for (Rank r = 0; r < cfg_.num_ranks; ++r) {
     const rt::RankLedger& ledger = ledgers[static_cast<std::size_t>(r)];
-    obs::MetricsRegistry& reg = rank_metrics[static_cast<std::size_t>(r)];
+    obs::MetricsRegistry& reg = rank_metrics_[static_cast<std::size_t>(r)];
     reg.counter("transport/bytes_sent").add(ledger.bytes_sent);
     reg.counter("transport/bytes_received").add(ledger.bytes_received);
     reg.counter("transport/messages_sent").add(ledger.messages_sent);
@@ -825,50 +801,53 @@ RunResult run_driver(const DriverArgs& args) {
     reg.gauge("cpu/total").add(ledger.total_cpu_seconds());
   }
   obs::MetricsRegistry merged;
-  for (const obs::MetricsRegistry& reg : rank_metrics) merged.merge(reg);
-  if (live) {
+  for (const obs::MetricsRegistry& reg : rank_metrics_) merged.merge(reg);
+  if (serve_ != nullptr) {
     // Query-side counters live in the shared serve context (bumped by
     // QueryView readers); fold them in next to the rank-side serve/
     // publish metrics so the merged registry tells the whole story.
     merged.counter("serve/queries")
-        .add(serve->queries.load(std::memory_order_relaxed));
+        .add(serve_->queries.load(std::memory_order_relaxed));
     merged.counter("serve/stale_responses")
-        .add(serve->stale_responses.load(std::memory_order_relaxed));
+        .add(serve_->stale_responses.load(std::memory_order_relaxed));
     // Query latency SLOs: the lock-free per-kind histograms recorded by
     // QueryView readers, snapshotted into the merged registry so p50/p95/
     // p99 ride the normal stats/JSON plumbing.
-    merged.histogram("serve/query_ns/point").merge(serve->query_ns_point.snapshot());
-    merged.histogram("serve/query_ns/top_k").merge(serve->query_ns_top_k.snapshot());
+    merged.histogram("serve/query_ns/point")
+        .merge(serve_->query_ns_point.snapshot());
+    merged.histogram("serve/query_ns/top_k")
+        .merge(serve_->query_ns_top_k.snapshot());
     merged.histogram("serve/query_ns/rank_of")
-        .merge(serve->query_ns_rank_of.snapshot());
+        .merge(serve_->query_ns_rank_of.snapshot());
   }
-  merged.gauge("cpu/max_rank").set(world.max_rank_cpu_seconds());
-  merged.gauge("time/dd_seconds").set(out.stats.dd_seconds);
-  out.traffic = world.take_message_log();
+  merged.gauge("cpu/max_rank").set(world_.max_rank_cpu_seconds());
+  merged.gauge("time/dd_seconds").set(out_.stats.dd_seconds);
+  out_.traffic = world_.take_message_log();
 
-  out.stats.total_cpu_seconds = merged.gauge_value("cpu/total");
-  out.stats.max_rank_cpu_seconds = merged.gauge_value("cpu/max_rank");
-  out.stats.total_bytes = merged.counter_value("transport/bytes_sent");
-  out.stats.total_messages = merged.counter_value("transport/messages_sent");
-  out.stats.frame_overhead_bytes =
+  RunStats& stats = out_.stats;
+  stats.total_cpu_seconds = merged.gauge_value("cpu/total");
+  stats.max_rank_cpu_seconds = merged.gauge_value("cpu/max_rank");
+  stats.total_bytes = merged.counter_value("transport/bytes_sent");
+  stats.total_messages = merged.counter_value("transport/messages_sent");
+  stats.frame_overhead_bytes =
       merged.counter_value("transport/frame_overhead_bytes");
-  out.stats.retransmits = merged.counter_value("transport/retransmits");
-  out.stats.dv_resident_bytes =
+  stats.retransmits = merged.counter_value("transport/retransmits");
+  stats.dv_resident_bytes =
       static_cast<std::uint64_t>(merged.gauge_value("dv/resident_bytes"));
-  out.stats.dv_cold_bytes =
+  stats.dv_cold_bytes =
       static_cast<std::uint64_t>(merged.gauge_value("dv/cold_bytes"));
-  out.stats.dv_promotions = merged.counter_value("dv/promotions");
-  out.stats.dv_demotions = merged.counter_value("dv/demotions");
-  out.stats.dv_decode_seconds = merged.gauge_value("dv/decode_seconds");
+  stats.dv_promotions = merged.counter_value("dv/promotions");
+  stats.dv_demotions = merged.counter_value("dv/demotions");
+  stats.dv_decode_seconds = merged.gauge_value("dv/decode_seconds");
   static constexpr const char* kPhasePrefix = "cpu/phase/";
   for (const auto& [name, gauge] : merged.gauges()) {
     if (name.rfind(kPhasePrefix, 0) == 0) {
-      out.stats.cpu_by_phase[name.substr(10)] = gauge.value;
+      stats.cpu_by_phase[name.substr(10)] = gauge.value;
     }
   }
   // Percentile summaries for every histogram in the merged registry
-  // (satellite of docs/OBSERVABILITY.md §Metrics): RunStats::to_json
-  // emits them under "histograms".
+  // (docs/OBSERVABILITY.md §Metrics): RunStats::to_json emits them under
+  // "histograms".
   for (const auto& [name, h] : merged.histograms()) {
     RunStats::HistogramSummary hs;
     hs.count = h.count;
@@ -876,68 +855,64 @@ RunResult run_driver(const DriverArgs& args) {
     hs.p50 = obs::histogram_quantile(h, 0.50);
     hs.p95 = obs::histogram_quantile(h, 0.95);
     hs.p99 = obs::histogram_quantile(h, 0.99);
-    out.stats.histogram_summary.emplace(name, hs);
+    stats.histogram_summary.emplace(name, hs);
   }
-  out.metrics = std::move(merged);
+  out_.metrics = std::move(merged);
+}
 
-  out.stats.wall_seconds = wall.seconds();
-
-  if (progress) {
-    // Terminal event: totals from the final RunStats plus the exact final
-    // top-k, so a consumer that only tails the feed ends with the same
-    // ranking RunResult::harmonic would give it.
-    obs::ProgressEvent ev;
-    ev.phase = "done";
-    ev.step = out.stats.rc_steps;
-    ev.ranks = cfg_.num_ranks;
-    ev.settled = 0;  // not re-gathered after teardown
-    ev.bytes = out.stats.total_bytes;
-    ev.retransmits = out.stats.retransmits;
-    ev.recoveries = out.stats.recoveries;
-    ev.dv_resident_bytes = out.stats.dv_resident_bytes;
-    ev.dv_cold_bytes = out.stats.dv_cold_bytes;
-    ev.dv_promotions = out.stats.dv_promotions;
-    ev.dv_demotions = out.stats.dv_demotions;
-    if (live) {
-      ev.has_serve = true;
-      ev.serve_queries = serve->queries.load(std::memory_order_relaxed);
-      ev.snapshot_age_steps = 0;  // terminal snapshots are exact
-    }
-    for (const StepStats& s : out.stats.steps) {
-      ev.relaxations += s.relaxations;
-      ev.poisons += s.poisons;
-      ev.repairs += s.repairs;
-    }
-    const std::size_t k = cfg_.progress.top_k;
-    std::vector<std::pair<VertexId, double>> final_top;
-    for (VertexId v : top_k(out.harmonic, k)) {
-      final_top.emplace_back(v, out.harmonic[v]);
-    }
-    if (!progress->prev_top.empty()) {
-      ev.has_estimators = true;
-      ev.topk_overlap =
-          top_k_overlap(progress->prev_top, final_top, k);
-      ev.kendall_tau = kendall_tau(progress->prev_top, final_top);
-    }
-    ev.top.reserve(final_top.size());
-    for (const auto& [v, score] : final_top) {
-      (void)score;
-      ev.top.push_back(v);
-    }
-    progress->prev_top = std::move(final_top);
-    progress->emit(ev);
+void Supervisor::emit_done() {
+  // Terminal event: totals from the final RunStats plus the exact final
+  // top-k, so a consumer that only tails the feed ends with the same
+  // ranking RunResult::harmonic would give it.
+  const RunStats& stats = out_.stats;
+  obs::ProgressEvent ev;
+  ev.phase = "done";
+  ev.step = stats.rc_steps;
+  ev.ranks = cfg_.num_ranks;
+  ev.settled = 0;  // not re-gathered after teardown
+  ev.bytes = stats.total_bytes;
+  ev.retransmits = stats.retransmits;
+  ev.recoveries = stats.recoveries;
+  ev.dv_resident_bytes = stats.dv_resident_bytes;
+  ev.dv_cold_bytes = stats.dv_cold_bytes;
+  ev.dv_promotions = stats.dv_promotions;
+  ev.dv_demotions = stats.dv_demotions;
+  if (serve_ != nullptr) {
+    ev.has_serve = true;
+    ev.serve_queries = serve_->queries.load(std::memory_order_relaxed);
+    ev.snapshot_age_steps = 0;  // terminal snapshots are exact
   }
-
-  if (tracer) {
-    out.trace = tracer->merge();
-    if (!cfg_.trace.path.empty() &&
-        !obs::write_chrome_trace_file(cfg_.trace.path, out.trace)) {
-      // Tracing is diagnostics: an unwritable path must not fail the run.
-      std::fprintf(stderr, "[aacc] warning: could not write trace to %s\n",
-                   cfg_.trace.path.c_str());
-    }
+  for (const StepStats& s : stats.steps) {
+    ev.relaxations += s.relaxations;
+    ev.poisons += s.poisons;
+    ev.repairs += s.repairs;
   }
-  return out;
+  const std::size_t k = cfg_.progress.top_k;
+  std::vector<std::pair<VertexId, double>> final_top;
+  for (VertexId v : top_k(out_.harmonic, k)) {
+    final_top.emplace_back(v, out_.harmonic[v]);
+  }
+  if (!progress_->prev_top.empty()) {
+    ev.has_estimators = true;
+    ev.topk_overlap = top_k_overlap(progress_->prev_top, final_top, k);
+    ev.kendall_tau = kendall_tau(progress_->prev_top, final_top);
+  }
+  ev.top.reserve(final_top.size());
+  for (const auto& [v, score] : final_top) {
+    (void)score;
+    ev.top.push_back(v);
+  }
+  progress_->prev_top = std::move(final_top);
+  progress_->emit(ev);
+}
+
+}  // namespace
+
+namespace detail {
+
+RunResult run_driver(const DriverArgs& args) {
+  Supervisor supervisor(args);
+  return supervisor.run();
 }
 
 }  // namespace detail

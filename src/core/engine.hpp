@@ -41,8 +41,7 @@ class EngineStateError : public std::logic_error {
 };
 
 /// A recovery rung's preconditions do not hold for this failure (adoption
-/// without a usable snapshot, degraded mode under an incompatible config,
-/// ...). The supervisor catches it and falls through to the next rung of
+/// under eager edge adds, or with no surviving rank, ...). The supervisor catches it and falls through to the next rung of
 /// EngineConfig::recovery_policy; an exhausted ladder rethrows the last one
 /// (docs/FAULTS.md §Recovery policy ladder).
 class RecoveryError : public std::runtime_error {
@@ -52,7 +51,7 @@ class RecoveryError : public std::runtime_error {
 
 /// One supervised recovery, as recorded in RunStats::recovery_log.
 struct RecoveryRecord {
-  /// Rung that served it: "adopt", "rollback" or "degraded".
+  /// Rung that served it: "adopt" or "rollback".
   std::string kind;
   /// RC step the survivors had reached when the death was declared.
   std::size_t at_step = 0;
@@ -110,8 +109,8 @@ struct RunStats {
   /// `aacc analyze --critical-path`.
   double rc_blocked_on_seconds = 0.0;
   std::map<std::int64_t, double> rc_blocked_on_by_rank;
-  /// Supervised relaunches after injected/transport failures (adoptions,
-  /// checkpoint rollbacks and degraded restarts; see docs/FAULTS.md).
+  /// Supervised relaunches after injected/transport failures (adoptions
+  /// and rollbacks; see docs/FAULTS.md).
   std::size_t recoveries = 0;
   /// One entry per supervised recovery, in order, with the serving rung
   /// and the measured MTTR (docs/FAULTS.md §Recovery timing).
@@ -193,12 +192,6 @@ struct RunResult {
   /// Filled when EngineConfig::checkpoint_at_step fired: the run stopped
   /// there and this snapshot resumes it (see checkpoint.hpp).
   Checkpoint checkpoint;
-  /// Degraded "anytime" fallback (docs/FAULTS.md): a rank died with no
-  /// recovery checkpoint available, so its rows are lost. The run completed
-  /// on the survivors; `lost_vertices` is the exact coverage gap — alive
-  /// vertices whose closeness could not be computed (reported as 0).
-  bool degraded = false;
-  std::vector<VertexId> lost_vertices;
   RunStats stats;
   /// Merged metrics registry (counters/gauges/histograms from every rank
   /// plus the runtime ledgers) — the source the `stats` ledger fields are

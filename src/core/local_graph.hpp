@@ -56,11 +56,6 @@ class LocalGraph {
     if (it == portal_adj_.end()) return {};
     return it->second;
   }
-  [[nodiscard]] const std::unordered_map<VertexId,
-                                         std::vector<std::pair<VertexId, Weight>>>&
-  portals() const {
-    return portal_adj_;
-  }
 
   /// Does local vertex (by row) have any remote neighbour?
   [[nodiscard]] bool is_boundary_row(std::size_t row) const;
@@ -86,12 +81,6 @@ class LocalGraph {
   /// Weight of edge (u, v) as seen from this rank. Precondition: at least
   /// one endpoint is local and the edge exists.
   [[nodiscard]] Weight edge_weight(VertexId u, VertexId v) const;
-
-  /// Does this rank see edge (u, v)? False when neither endpoint is local
-  /// (the edge may exist elsewhere — callers needing a global answer must
-  /// hold a locally incident endpoint). Used by the idempotent structural
-  /// replay of shard adoption.
-  [[nodiscard]] bool has_edge(VertexId u, VertexId v) const;
 
   /// Full local edge list (u local; each edge once: u < v or v remote),
   /// used by the Repartition-S gather.

@@ -8,7 +8,6 @@
 #include <numeric>
 #include <queue>
 #include <sstream>
-#include <unordered_set>
 
 #include "analysis/closeness.hpp"
 #include "analysis/quality.hpp"
@@ -98,35 +97,13 @@ RankEngine::RankEngine(const Init& init, rt::Comm& comm)
   if (init.restore_blob != nullptr) {
     const obs::ScopedSpan span(trace_, "restore");
     restore_state(*init.restore_blob);
-    if (init.adopt != nullptr) adopt_shards(init);
+    if (init.adopt) adopt_shards(init);
   } else {
     dv_->grow_columns(lg_.n());
     for (std::size_t r = 0; r < lg_.num_local(); ++r) {
       dv_->append_fresh(lg_.vertex_of(r));
     }
     vertices_added_ = init.start_vertices_added;
-  }
-  if (!init.poison_ranks.empty()) {
-    // Degraded restart: the rows these ranks owned are gone, so every
-    // portal-cache value they published is a dead witness. Poison the
-    // cached entries; the cascade invalidates every local entry routed
-    // through them and queues repairs over surviving routes.
-    std::vector<bool> dead(static_cast<std::size_t>(init.world), false);
-    for (const Rank d : init.poison_ranks) {
-      dead[static_cast<std::size_t>(d)] = true;
-    }
-    const auto& owner = lg_.owner_map();
-    for (const auto& [portal, adj] : lg_.portals()) {
-      if (!dead[static_cast<std::size_t>(owner[portal])]) continue;
-      const auto it = caches_.find(portal);
-      if (it == caches_.end()) continue;
-      const PortalView pv{portal, it->second, adj};
-      apply_record_.clear();
-      for (VertexId t = 0; t < static_cast<VertexId>(pv.cache.size()); ++t) {
-        if (pv.cache[t] != kInfDist) apply_record_.emplace_back(t, kInfDist);
-      }
-      apply_portal_record(pv, apply_record_);
-    }
   }
 }
 
@@ -302,111 +279,31 @@ void RankEngine::restore_state_impl(std::span<const std::byte> blob) {
 
 // --------------------------------------------------------------- adoption
 
-namespace {
-
-/// Topology prefix of a checkpoint blob: owner map (discarded — the stash
-/// map is newer) and the snapshotted edge list. Rows, caches and cursors
-/// are deliberately not parsed: adoption consumes structure only, because
-/// post-snapshot deletions can make snapshot *values* stale-low (the dead
-/// rank's poison broadcasts for them completed before the crash, so
-/// re-installing the old finite values would silently revoke them).
-std::vector<std::tuple<VertexId, VertexId, Weight>> read_blob_edges(
-    std::span<const std::byte> blob) {
-  rt::ByteReader r(checkpoint_body(blob, "adoption source"));
-  (void)r.read_vec<Rank>();  // snapshot-time owner map, superseded
-  return read_blob_edge_list(r);
-}
-
-std::uint64_t edge_key(VertexId u, VertexId v) {
-  const VertexId a = std::min(u, v);
-  const VertexId b = std::max(u, v);
-  return (static_cast<std::uint64_t>(a) << 32) | b;
-}
-
-}  // namespace
-
 void RankEngine::adopt_shards(const Init& init) {
-  const obs::ScopedSpan span(trace_, "adopt", "sources",
-                             init.adopt->sources.size());
+  const obs::ScopedSpan span(trace_, "adopt");
   adopted_ = true;  // recovery provenance, stamped into published snapshots
-  // The rewritten owner map rides in init.owner (the one field the restore
-  // path ignores); its tombstones come from the stash map, so is_alive
-  // stays authoritative for everything below.
-  const std::vector<Rank>& new_owner = init.owner;
-  const auto alive = [&](VertexId v) { return new_owner[v] != kNoRank; };
 
-  // 1. Merge edge sets: this rank's live incident edges first (current as
-  //    of the crash), then each dead rank's snapshot edges. First wins on
-  //    the unordered pair — snapshot weights may be stale, and the replay
-  //    below re-asserts every post-snapshot change anyway. Edges into
-  //    vertices tombstoned after the snapshot are dropped.
-  std::vector<std::tuple<VertexId, VertexId, Weight>> merged;
-  std::unordered_set<std::uint64_t> seen;
-  const auto push = [&](VertexId u, VertexId v, Weight w) {
-    if (!alive(u) || !alive(v)) return;
-    if (seen.insert(edge_key(u, v)).second) merged.emplace_back(u, v, w);
-  };
-  for (std::size_t r = 0; r < dv_->size(); ++r) {
-    const VertexId u = lg_.vertex_of(r);
-    for (const Edge& e : lg_.adj(r)) {
-      if (!lg_.is_local(e.to) || u < e.to) push(u, e.to, e.w);
-    }
-  }
-  for (const auto& [source, blob] : init.adopt->sources) {
-    (void)source;
-    for (const auto& [u, v, w] : read_blob_edges(*blob)) push(u, v, w);
-  }
-
-  // 2. Rebuild the topology under the rewritten map. Surviving rows are
-  //    re-placed below; the constructor recomputes portals/subscriptions
-  //    for the new ownership. The crash-time owner map is kept around for
-  //    step 6: caches of dead-owned portals must go.
+  // 1. Take every surviving row out of the store; they are re-placed under
+  //    the new row indices below. Extraction promotes: adoption is a rare,
+  //    whole-rank rebuild, and the migrated rows re-enter residency as hot
+  //    until the next maintain() pass demotes the settled ones again. The
+  //    crash-time owner map is kept for step 5b: dead-owned portals.
   const std::vector<Rank> old_owner = lg_.owner_map();
-  // Extraction promotes every surviving row: adoption is a rare, whole-rank
-  // rebuild, and the migrated rows re-enter residency as hot until the next
-  // maintain() pass demotes the settled ones again.
   std::vector<DvRow> kept;
   kept.reserve(dv_->size());
   for (std::size_t r = 0; r < dv_->size(); ++r) {
     kept.push_back(dv_->take(r));
   }
   dv_->clear();
-  lg_ = LocalGraph(comm_.rank(), new_owner, merged);
 
-  // 3. Structural journal replay: every batch since the oldest snapshot,
-  //    in order, idempotently. Edges between two dead-owned vertices added
-  //    after the snapshot exist in no blob and no stash — only here.
-  //    Vertex adds/deletes are already reflected in the stash owner map;
-  //    only their edge payloads need re-asserting.
-  if (schedule_ != nullptr) {
-    const auto replay_edge_add = [&](VertexId u, VertexId v, Weight w) {
-      if (!alive(u) || !alive(v)) return;
-      if (!lg_.is_local(u) && !lg_.is_local(v)) return;
-      if (!lg_.has_edge(u, v)) lg_.add_edge(u, v, w);
-    };
-    for (std::size_t b = init.adopt->replay_from_batch;
-         b < start_batch_ && b < schedule_->size(); ++b) {
-      for (const Event& ev : (*schedule_)[b].events) {
-        if (const auto* ea = std::get_if<EdgeAddEvent>(&ev)) {
-          replay_edge_add(ea->u, ea->v, ea->w);
-        } else if (const auto* ed = std::get_if<EdgeDeleteEvent>(&ev)) {
-          if (lg_.has_edge(ed->u, ed->v)) lg_.remove_edge(ed->u, ed->v);
-        } else if (const auto* wc = std::get_if<WeightChangeEvent>(&ev)) {
-          if (lg_.has_edge(wc->u, wc->v)) {
-            lg_.set_weight(wc->u, wc->v, wc->w_new);
-          }
-        } else if (const auto* va = std::get_if<VertexAddEvent>(&ev)) {
-          for (const auto& [to, w] : va->edges) {
-            replay_edge_add(va->id, to, w);
-          }
-        }
-        // VertexDeleteEvent: the tombstone is in the stash owner map and
-        // its incident edges were filtered by alive() above — nothing to do.
-      }
-    }
-  }
+  // 2. Rebuild the topology the way a fresh start does: the rewritten owner
+  //    map (dead ranks' vertices dealt onto the survivors) over the driver's
+  //    authoritative edge list at the restart cursor — the initial graph
+  //    with every consumed batch applied. The structure of the adopted
+  //    shards comes from there, not from the dead rank.
+  lg_ = LocalGraph(comm_.rank(), init.owner, *init.edges);
 
-  // 4. Re-place surviving rows at their new indices; adopted vertices get
+  // 3. Re-place surviving rows at their new indices; adopted vertices get
   //    fresh all-infinity rows — the quiet poison. Snapshot values are
   //    never installed, so nothing stale-low can enter; re-derivation
   //    rebuilds exactly the values the survivors can currently justify.
@@ -424,7 +321,7 @@ void RankEngine::adopt_shards(const Init& init) {
     dv_->put(static_cast<std::size_t>(ri), std::move(row));
   }
 
-  // 5. Queue the quiet re-derivation of every adopted entry: repairs pull
+  // 4. Queue the quiet re-derivation of every adopted entry: repairs pull
   //    from local neighbour rows immediately and from portal caches as
   //    they repopulate. No poison markers are broadcast — the graph did
   //    not change, so every remote finite value is still a sound upper
@@ -435,17 +332,17 @@ void RankEngine::adopt_shards(const Init& init) {
     ++adopted_rows;
     const VertexId v = lg_.vertex_of(r);
     for (VertexId t = 0; t < lg_.n(); ++t) {
-      if (t != v && alive(t)) repairs_.emplace_back(v, t);
+      if (t != v && lg_.is_alive(t)) repairs_.emplace_back(v, t);
     }
   }
 
-  // 6. Drop caches the ownership change invalidated: vertices this rank
+  // 5. Drop caches the ownership change invalidated: vertices this rank
   //    now owns and ex-portals no cut edge reaches any more. Live-owned
   //    portal caches are kept: their owners survived with their poison
   //    state intact, so the values are genuine upper bounds repairs may
   //    re-derive through. Dead-owned caches are NOT erased here — they are
   //    the subscriber-side baseline apply_portal_record compares against to
-  //    detect increases, so step 6b poisons through them instead.
+  //    detect increases, so step 5b poisons through them instead.
   for (auto it = caches_.begin(); it != caches_.end();) {
     if (lg_.is_local(it->first) || !lg_.is_portal(it->first)) {
       it = caches_.erase(it);
@@ -454,8 +351,8 @@ void RankEngine::adopt_shards(const Init& init) {
     }
   }
 
-  // 6b. Loud poison for the torn-batch window. The quiet-poison argument
-  //    in step 5 has one hole: if the crash step had already ingested a
+  // 5b. Loud poison for the torn-batch window. The quiet-poison argument
+  //    in step 4 has one hole: if the crash step had already ingested a
   //    change batch with non-monotone events (deletes, weight changes),
   //    the dead owner died before sending the poison markers that batch
   //    obliged it to send. Any survivor entry whose witness chain runs
@@ -501,7 +398,7 @@ void RankEngine::adopt_shards(const Init& init) {
     poison_cascade(std::move(seeds));
   }
 
-  // 7. Every boundary row re-publishes its finite entries: subscriptions
+  // 6. Every boundary row re-publishes its finite entries: subscriptions
   //    were rewired (adopters subscribe to portals they never saw, and
   //    survivors' rows now feed adopters' empty caches), mirroring the
   //    repartition path's re-subscription flush.
@@ -2086,7 +1983,6 @@ void RankEngine::publish_snapshot(std::size_t step) {
     snap->epoch = prev != nullptr ? prev->epoch + 1 : 1;
   }
   snap->step = step;
-  snap->degraded = serve_->degraded.load(std::memory_order_relaxed);
   snap->adopted = adopted_;
   const std::size_t rows = dv_->size();  // 0 for ghosts: an empty snapshot
   publish_index_.clear();
@@ -2150,7 +2046,7 @@ std::size_t RankEngine::run_rc() {
     // this rank enters the step's first collective. Every survivor then
     // blocks inside that exchange (the all_to_all needs the dead rank) and
     // is interrupted there, so all survivors stop with the *same* (step,
-    // batch) cursors — which is what makes the degraded restart coherent.
+    // batch) cursors — which is what makes an adoption restart coherent.
     if (!ghost_ && injector_ != nullptr &&
         injector_->should_crash(comm_.rank(), step)) {
       throw rt::InjectedCrash(comm_.rank(), step);

@@ -63,38 +63,21 @@ struct StepLocal {
 
 class RankEngine {
  public:
-  /// Shard-adoption plan (docs/FAULTS.md §Shard adoption): survivors split
-  /// the newly dead ranks' rows among themselves. `sources` holds each dead
-  /// rank's latest periodic-checkpoint blob (structure only is consumed:
-  /// row *values* are re-derived from the survivors' live state via the
-  /// quiet repair pass, because post-snapshot deletions make blob values
-  /// potentially stale-low). The schedule batches in
-  /// [replay_from_batch, start_batch) are replayed structurally so edges
-  /// the snapshot predates — including edges between two dead-owned
-  /// vertices that no survivor's stash saw — reappear.
-  struct AdoptShards {
-    /// (dead rank, its latest snapshot blob), one entry per newly dead rank.
-    std::vector<std::pair<Rank, const std::vector<std::byte>*>> sources;
-    /// First schedule batch whose structural effects may be missing from
-    /// every source blob (min over sources of the first batch after its
-    /// snapshot step).
-    std::size_t replay_from_batch = 0;
-  };
-
   struct Init {
     Rank me = 0;
     Rank world = 1;
     /// Owner per vertex id (identical on all ranks).
     std::vector<Rank> owner;
-    /// Full edge list; the engine keeps only locally incident edges.
+    /// Full edge list; the engine keeps only locally incident edges. Read
+    /// on a fresh start and by an adopting survivor.
     const std::vector<std::tuple<VertexId, VertexId, Weight>>* edges = nullptr;
     /// The event schedule (all ranks hold the step indices; batch contents
     /// are broadcast from rank 0 at ingestion time for honest accounting).
     const EventSchedule* schedule = nullptr;
     EngineConfig cfg;
     /// Resume path: when set, all state comes from this serialized blob
-    /// (owner/edges above are ignored) and the RC loop continues at
-    /// start_step / start_batch.
+    /// (owner/edges above are ignored unless `adopt` is set) and the RC
+    /// loop continues at start_step / start_batch.
     const std::vector<std::byte>* restore_blob = nullptr;
     std::size_t start_step = 0;
     std::size_t start_batch = 0;
@@ -107,24 +90,20 @@ class RankEngine {
     /// Chaos hook: polled at each RC step boundary; a scheduled crash
     /// throws rt::InjectedCrash out of run_rc. Non-owning.
     rt::FaultInjector* injector = nullptr;
-    /// Degraded mode (docs/FAULTS.md): a ghost stands in for a dead rank so
-    /// the SPMD collectives stay in lockstep. It owns no rows (its
-    /// LocalGraph `me` is an impossible rank) but tracks the owner map and
-    /// consumes the event feed like everyone else.
+    /// Shard adoption (docs/FAULTS.md §Shard adoption): a ghost stands in
+    /// for a dead rank so the SPMD collectives stay in lockstep. It owns no
+    /// rows (its LocalGraph `me` is an impossible rank) but tracks the owner
+    /// map and consumes the event feed like everyone else.
     bool ghost = false;
-    /// Degraded mode: on construction, poison every portal-cache entry
-    /// owned by these (dead) ranks — their rows are lost, so every value
-    /// routed through them must be re-derived from surviving routes.
-    std::vector<Rank> poison_ranks;
     /// Round-robin assignment cursor for a ghost (survivors restore theirs
     /// from the blob; the ghost must agree or owner maps diverge).
     std::uint64_t start_vertices_added = 0;
     /// Shard adoption (survivors of an adopt-mode restart only): after the
-    /// stash restore, the engine rebuilds its topology under `owner` (the
-    /// rewritten map — the one Init field the restore path otherwise
-    /// ignores), installs fresh rows for its adopted vertices and queues
-    /// their quiet re-derivation. Non-owning.
-    const AdoptShards* adopt = nullptr;
+    /// stash restore, the engine rebuilds its topology from `owner` (the
+    /// rewritten map) and `edges` (the driver's graph at the restart
+    /// cursor), installs fresh rows for its adopted vertices and queues
+    /// their quiet re-derivation.
+    bool adopt = false;
     /// Ranks excluded from round-robin vertex assignment (adopt-mode
     /// restarts: a vertex dealt to a ghost seat would be lost again).
     /// Identical on every rank or owner maps diverge. Empty = no exclusion.
@@ -381,12 +360,11 @@ class RankEngine {
   void restore_state_impl(std::span<const std::byte> blob);
 
   /// Adopt-mode restart (called from the constructor after the stash
-  /// restore): rebuilds the topology under the rewritten owner map from the
-  /// union of this rank's live edges, the dead ranks' snapshot edges and
-  /// the structurally replayed schedule batches; installs fresh rows for
-  /// adopted vertices and queues their re-derivation (quiet poison — no
-  /// markers broadcast, the graph did not change); marks every boundary
-  /// row's finite entries dirty so rewired subscriptions repopulate.
+  /// restore): rebuilds the topology from init.owner and init.edges like a
+  /// fresh start; installs fresh rows for adopted vertices and queues their
+  /// re-derivation (quiet poison — no markers broadcast, the graph did not
+  /// change); marks every boundary row's finite entries dirty so rewired
+  /// subscriptions repopulate.
   void adopt_shards(const Init& init);
 
   rt::Comm& comm_;

@@ -89,7 +89,7 @@ struct ProgressEvent {
   /// Current global top-k vertex ids, best first (bounded by
   /// ProgressConfig::top_k; empty for recovery events).
   std::vector<VertexId> top;
-  /// Recovery kind ("adopt" / "rollback" / "degraded"); empty otherwise.
+  /// Recovery kind ("adopt" / "rollback"); empty otherwise.
   std::string detail;
 };
 

@@ -113,9 +113,8 @@ struct SnapshotData {
   /// session (survives supervised restarts: the next attempt continues
   /// from the published predecessor's epoch).
   std::uint64_t epoch = 0;
-  /// Recovery provenance at publish time (docs/FAULTS.md): the run is in
-  /// degraded survivor mode / this rank carries adopted shards.
-  bool degraded = false;
+  /// Recovery provenance at publish time (docs/FAULTS.md): this rank
+  /// carries adopted shards.
   bool adopted = false;
   std::vector<VertexId> ids;      ///< local vertices, ascending
   std::vector<double> closeness;  ///< aligned with ids
@@ -292,8 +291,7 @@ struct ServeContext {
   /// Latest estimator sample (rank 0 republishes it from the progress fold).
   PublishedPtr<const EstimatorSample> estimators;
   /// Recovery provenance, maintained by the supervising driver thread
-  /// (rollback clears both — the replay resurrects every seat).
-  std::atomic<bool> degraded{false};
+  /// (rollback clears it — the replay resurrects every seat).
   std::atomic<bool> adopted{false};
   /// Query-side counters (bumped by QueryView, folded into the merged
   /// metrics registry as serve/queries at close).

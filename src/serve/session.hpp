@@ -46,9 +46,8 @@ struct ResponseMeta {
   /// True when EngineConfig::max_snapshot_lag is set and age_steps exceeds
   /// it (the response is still served — the flag is the contract).
   bool stale = false;
-  /// Recovery provenance (docs/FAULTS.md): the run is in degraded survivor
-  /// mode / the backing snapshots contain adopted shards.
-  bool degraded = false;
+  /// Recovery provenance (docs/FAULTS.md): the run adopted a dead rank's
+  /// shards / the backing snapshots contain adopted shards.
   bool adopted = false;
   /// Convergence estimators from the latest progress fold (top-k overlap
   /// and Kendall tau-b vs the previous step; has_estimators is false until
@@ -59,8 +58,7 @@ struct ResponseMeta {
 };
 
 /// Point closeness lookup. `found` is false when the vertex is outside
-/// every published snapshot (not yet added, tombstoned, or lost to a
-/// degraded recovery).
+/// every published snapshot (not yet added, or tombstoned).
 struct PointResponse {
   bool found = false;
   double closeness = 0.0;

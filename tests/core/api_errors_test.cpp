@@ -150,15 +150,14 @@ TEST(ConfigValidate, RecoveryLadderMustHaveARung) {
             std::string::npos);
 }
 
-TEST(ConfigValidate, DefaultRecoveryLadderIsRollbackThenDegrade) {
-  // docs/FAULTS.md §Recovery policy ladder documents this default; adoption
-  // is opt-in.
+TEST(ConfigValidate, DefaultRecoveryLadderIsRollback) {
+  // docs/FAULTS.md §Recovery policy ladder documents this default: one
+  // unlimited rollback rung, exact with or without periodic snapshots.
+  // Adoption is opt-in.
   const EngineConfig cfg{};
-  ASSERT_EQ(cfg.recovery_policy.size(), 2u);
+  ASSERT_EQ(cfg.recovery_policy.size(), 1u);
   EXPECT_EQ(cfg.recovery_policy[0].policy, RecoveryPolicy::kRollback);
   EXPECT_EQ(cfg.recovery_policy[0].budget, 0u);
-  EXPECT_EQ(cfg.recovery_policy[1].policy, RecoveryPolicy::kDegrade);
-  EXPECT_EQ(cfg.recovery_policy[1].budget, 0u);
 }
 
 TEST(ConfigValidate, RecoveryLadderRejectsRepeatedPolicies) {
@@ -167,8 +166,7 @@ TEST(ConfigValidate, RecoveryLadderRejectsRepeatedPolicies) {
                          {RecoveryPolicy::kRollback, 2}};
   EXPECT_NE(config_error_message(cfg).find("repeat"), std::string::npos);
   cfg.recovery_policy = {{RecoveryPolicy::kAdopt, 0},
-                         {RecoveryPolicy::kRollback, 0},
-                         {RecoveryPolicy::kDegrade, 0}};
+                         {RecoveryPolicy::kRollback, 0}};
   EXPECT_NO_THROW(cfg.validate());
 }
 
@@ -239,14 +237,14 @@ TEST(ServeLifecycle, IngestRejectsMisnumberedVertexAdds) {
 }
 
 TEST(RecoveryLadder, ExhaustedLadderSurfacesTypedRecoveryError) {
-  // A config the degraded fallback cannot serve (eager adds rewrite the
-  // partition under the ghosts' feet), a ladder with only that rung, and a
-  // crash: the supervisor must surface the rung's typed precondition
-  // failure, not a bare assertion.
+  // A config adoption cannot serve (eager adds broadcast rows the adopted
+  // vertices do not have yet), a ladder with only that rung, and a crash:
+  // the supervisor must surface the rung's typed precondition failure, not
+  // a bare assertion.
   EngineConfig cfg;
   cfg.num_ranks = 3;
   cfg.add_mode = EdgeAddMode::kEager;
-  cfg.recovery_policy = {{RecoveryPolicy::kDegrade, 0}};
+  cfg.recovery_policy = {{RecoveryPolicy::kAdopt, 0}};
   cfg.transport.retry_backoff = std::chrono::microseconds(1);
   cfg.faults.crashes.push_back({1, 1, rt::CrashPhase::kStepStart});
   EXPECT_NO_THROW(cfg.validate());  // the clash is a runtime property

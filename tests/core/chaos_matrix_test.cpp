@@ -1,13 +1,11 @@
 // Chaos matrix for the recovery-policy ladder (docs/FAULTS.md §Recovery
-// policy ladder): {crash early / mid / late} × {adopt / rollback / degrade},
-// each also exercised with a mid-exchange death. Adopt and rollback must
-// converge to the fault-free values with nothing lost; degrade must account
-// for the coverage gap exactly. A second suite sweeps adoption across every
-// crash step, and the ladder tests cover fall-through, budgets and
+// policy ladder): {crash early / mid / late} × {adopt / rollback}, each also
+// exercised with a mid-exchange death. Both rungs must converge to the
+// fault-free values. A second suite sweeps snapshot-free adoption across
+// every crash step, and the ladder tests cover fall-through, budgets and
 // exhaustion.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -29,8 +27,8 @@ EngineConfig matrix_cfg(Rank P) {
   return cfg;
 }
 
-/// Adds, deletions, a weight change and growth: every structural fact the
-/// adoption journal replay must reproduce.
+/// Adds, deletions, a weight change and growth: every structural fact an
+/// adopting survivor must rebuild from the driver's graph at its cursor.
 EventSchedule matrix_schedule(const Graph& g, std::uint64_t seed) {
   Rng rng(seed);
   EventSchedule sched;
@@ -67,18 +65,8 @@ const char* kind_of(RecoveryPolicy p) {
   switch (p) {
     case RecoveryPolicy::kAdopt: return "adopt";
     case RecoveryPolicy::kRollback: return "rollback";
-    case RecoveryPolicy::kDegrade: return "degraded";
   }
   return "?";
-}
-
-std::vector<VertexId> lost_of(const Graph& truth, const RunResult& r,
-                              Rank dead) {
-  std::vector<VertexId> expected;
-  for (VertexId v = 0; v < r.final_owner.size(); ++v) {
-    if (r.final_owner[v] == dead && truth.is_alive(v)) expected.push_back(v);
-  }
-  return expected;
 }
 
 // ------------------------------------------------------------ the matrix
@@ -97,8 +85,7 @@ TEST(ChaosMatrix, EveryPolicyEveryCrashWindow) {
   const std::size_t crash_steps[] = {1, steps / 2, steps - 1};
 
   for (const RecoveryPolicy policy :
-       {RecoveryPolicy::kAdopt, RecoveryPolicy::kRollback,
-        RecoveryPolicy::kDegrade}) {
+       {RecoveryPolicy::kAdopt, RecoveryPolicy::kRollback}) {
     for (const std::size_t s : crash_steps) {
       for (const rt::CrashPhase phase :
            {rt::CrashPhase::kStepStart, rt::CrashPhase::kMidExchange}) {
@@ -108,7 +95,7 @@ TEST(ChaosMatrix, EveryPolicyEveryCrashWindow) {
             (phase == rt::CrashPhase::kMidExchange ? " mid-exchange" : "");
         EngineConfig ccfg = cfg;
         ccfg.recovery_policy = {{policy, 0}};
-        if (policy != RecoveryPolicy::kDegrade) ccfg.checkpoint_every = 1;
+        ccfg.checkpoint_every = 1;
         ccfg.faults.crashes.push_back({victim, s, phase});
 
         AnytimeEngine engine(g, ccfg);
@@ -125,25 +112,16 @@ TEST(ChaosMatrix, EveryPolicyEveryCrashWindow) {
         EXPECT_EQ(r.stats.recovery_log[0].kind, kind_of(policy)) << ctx;
         EXPECT_GT(r.stats.recovery_log[0].mttr_seconds, 0.0) << ctx;
 
-        if (policy == RecoveryPolicy::kDegrade) {
-          EXPECT_TRUE(r.degraded) << ctx;
-          EXPECT_EQ(r.lost_vertices, lost_of(engine.graph(), r, victim))
-              << ctx;
-          EXPECT_FALSE(r.lost_vertices.empty()) << ctx;
-        } else {
-          EXPECT_FALSE(r.degraded) << ctx;
-          EXPECT_TRUE(r.lost_vertices.empty()) << ctx;
-          if (policy == RecoveryPolicy::kAdopt) {
-            // The dead seat really was vacated.
-            for (VertexId v = 0; v < r.final_owner.size(); ++v) {
-              ASSERT_NE(r.final_owner[v], victim) << ctx << " vertex " << v;
-            }
+        if (policy == RecoveryPolicy::kAdopt) {
+          // The dead seat really was vacated.
+          for (VertexId v = 0; v < r.final_owner.size(); ++v) {
+            ASSERT_NE(r.final_owner[v], victim) << ctx << " vertex " << v;
           }
-          ASSERT_EQ(r.closeness.size(), clean.closeness.size()) << ctx;
-          for (VertexId v = 0; v < clean.closeness.size(); ++v) {
-            ASSERT_EQ(r.closeness[v], clean.closeness[v])
-                << ctx << " vertex " << v;
-          }
+        }
+        ASSERT_EQ(r.closeness.size(), clean.closeness.size()) << ctx;
+        for (VertexId v = 0; v < clean.closeness.size(); ++v) {
+          ASSERT_EQ(r.closeness[v], clean.closeness[v])
+              << ctx << " vertex " << v;
         }
       }
     }
@@ -153,10 +131,11 @@ TEST(ChaosMatrix, EveryPolicyEveryCrashWindow) {
 // ------------------------------------- adoption exactness, swept in depth
 
 TEST(Adoption, EveryCrashStep) {
-  // The acceptance sweep: kill a rank at every RC step of the run under
-  // recovery_policy = {adopt}. Every run must finish undegraded, lose
-  // nothing, and produce distances and closeness exactly equal to the
-  // fault-free run.
+  // The acceptance sweep: kill a rank at every RC step of the run, step 0
+  // included, under recovery_policy = {adopt} with no periodic snapshots.
+  // Victims are rank 2 and rank 0 (the feed broadcaster and progress
+  // emitter). Every run must produce distances and closeness exactly equal
+  // to the fault-free run.
   const Graph g = make_er(80, 240, 3, WeightRange{1, 3});
   const EventSchedule sched = matrix_schedule(g, 17);
   const Rank P = 4;
@@ -167,29 +146,33 @@ TEST(Adoption, EveryCrashStep) {
   const RunResult clean = clean_engine.run(sched);
   ASSERT_GE(clean.stats.rc_steps, 4u);
 
-  for (std::size_t s = 1; s < clean.stats.rc_steps; ++s) {
-    EngineConfig ccfg = cfg;
-    ccfg.checkpoint_every = 1;
-    ccfg.recovery_policy = {{RecoveryPolicy::kAdopt, 0}};
-    ccfg.faults.crashes.push_back({2, s});
+  for (const Rank victim : {Rank{0}, Rank{2}}) {
+    for (std::size_t s = 0; s < clean.stats.rc_steps; ++s) {
+      const std::string ctx =
+          "victim " + std::to_string(victim) + " step " + std::to_string(s);
+      EngineConfig ccfg = cfg;
+      ccfg.checkpoint_every = 0;
+      ccfg.recovery_policy = {{RecoveryPolicy::kAdopt, 0}};
+      ccfg.faults.crashes.push_back({victim, s});
 
-    AnytimeEngine engine(g, ccfg);
-    const RunResult r = engine.run(sched);
-    EXPECT_EQ(r.stats.recoveries, 1u) << "step " << s;
-    EXPECT_FALSE(r.degraded) << "step " << s;
-    EXPECT_TRUE(r.lost_vertices.empty()) << "step " << s;
-    EXPECT_EQ(r.apsp, clean.apsp) << "step " << s;
-    ASSERT_EQ(r.closeness.size(), clean.closeness.size());
-    for (VertexId v = 0; v < clean.closeness.size(); ++v) {
-      ASSERT_EQ(r.closeness[v], clean.closeness[v])
-          << "step " << s << " vertex " << v;
+      AnytimeEngine engine(g, ccfg);
+      const RunResult r = engine.run(sched);
+      EXPECT_EQ(r.stats.recoveries, 1u) << ctx;
+      ASSERT_EQ(r.stats.recovery_log.size(), 1u) << ctx;
+      EXPECT_EQ(r.stats.recovery_log[0].kind, "adopt") << ctx;
+      EXPECT_EQ(r.apsp, clean.apsp) << ctx;
+      ASSERT_EQ(r.closeness.size(), clean.closeness.size()) << ctx;
+      for (VertexId v = 0; v < clean.closeness.size(); ++v) {
+        ASSERT_EQ(r.closeness[v], clean.closeness[v])
+            << ctx << " vertex " << v;
+      }
     }
   }
 }
 
 TEST(Adoption, TwoDeathsBackToBackStayExact) {
-  // Adoption keeps the periodic store live, so a second death is adoptable
-  // too: both seats end up vacated and the answer stays exact.
+  // Adoption needs no snapshot, so a second death is adoptable too: both
+  // seats end up vacated and the answer stays exact.
   const Graph g = make_er(90, 270, 23, WeightRange{1, 3});
   const EventSchedule sched = matrix_schedule(g, 29);
   EngineConfig cfg = matrix_cfg(4);
@@ -200,7 +183,7 @@ TEST(Adoption, TwoDeathsBackToBackStayExact) {
   ASSERT_GE(clean.stats.rc_steps, 5u);
 
   EngineConfig ccfg = cfg;
-  ccfg.checkpoint_every = 1;
+  ccfg.checkpoint_every = 0;
   ccfg.recovery_policy = {{RecoveryPolicy::kAdopt, 0}};
   ccfg.faults.crashes.push_back({1, 2});
   ccfg.faults.crashes.push_back({3, 4});
@@ -211,8 +194,6 @@ TEST(Adoption, TwoDeathsBackToBackStayExact) {
   ASSERT_EQ(r.stats.recovery_log.size(), 2u);
   EXPECT_EQ(r.stats.recovery_log[0].kind, "adopt");
   EXPECT_EQ(r.stats.recovery_log[1].kind, "adopt");
-  EXPECT_FALSE(r.degraded);
-  EXPECT_TRUE(r.lost_vertices.empty());
   for (VertexId v = 0; v < r.final_owner.size(); ++v) {
     ASSERT_NE(r.final_owner[v], 1) << "vertex " << v;
     ASSERT_NE(r.final_owner[v], 3) << "vertex " << v;
@@ -245,16 +226,14 @@ TEST(Adoption, MessageFaultsOnTopStayExact) {
   AnytimeEngine engine(g, ccfg);
   const RunResult r = engine.run(sched);
   EXPECT_EQ(r.stats.recoveries, 1u);
-  EXPECT_FALSE(r.degraded);
   EXPECT_EQ(r.apsp, clean.apsp);
 }
 
 // ------------------------------------------------------------- the ladder
 
-TEST(Ladder, AdoptFallsThroughToRollbackBeforeAnySnapshot) {
-  // Rank 1 dies at step 0: no periodic snapshot exists yet, so the adopt
-  // rung raises RecoveryError and the ladder falls through to rollback
-  // (which restarts from scratch, bit-identically).
+TEST(Ladder, AdoptServesAStepZeroDeath) {
+  // Rank 1 dies at step 0, before any periodic snapshot exists. Adoption
+  // needs none: the adopt rung serves the death and the answer is exact.
   const Graph g = make_er(80, 240, 41, WeightRange{1, 3});
   EngineConfig cfg = matrix_cfg(3);
   cfg.gather_apsp = true;
@@ -272,26 +251,53 @@ TEST(Ladder, AdoptFallsThroughToRollbackBeforeAnySnapshot) {
   const RunResult r = engine.run();
   EXPECT_EQ(r.stats.recoveries, 1u);
   ASSERT_EQ(r.stats.recovery_log.size(), 1u);
+  EXPECT_EQ(r.stats.recovery_log[0].kind, "adopt");
+  EXPECT_EQ(r.apsp, clean.apsp);
+}
+
+TEST(Ladder, EveryRankDeadFallsThroughToRollback) {
+  // All three ranks die at step 2: no survivor can adopt, so the adopt
+  // rung raises RecoveryError and rollback serves the failure from the
+  // newest consistent snapshot, bit-identically.
+  const Graph g = make_er(80, 240, 67, WeightRange{1, 3});
+  const EventSchedule sched = matrix_schedule(g, 71);
+  EngineConfig cfg = matrix_cfg(3);
+  cfg.gather_apsp = true;
+
+  AnytimeEngine clean_engine(g, cfg);
+  const RunResult clean = clean_engine.run(sched);
+  ASSERT_GE(clean.stats.rc_steps, 3u);
+
+  EngineConfig ccfg = cfg;
+  ccfg.checkpoint_every = 1;
+  ccfg.recovery_policy = {{RecoveryPolicy::kAdopt, 0},
+                          {RecoveryPolicy::kRollback, 0}};
+  for (Rank r = 0; r < 3; ++r) ccfg.faults.crashes.push_back({r, 2});
+
+  AnytimeEngine engine(g, ccfg);
+  const RunResult r = engine.run(sched);
+  EXPECT_EQ(r.stats.recoveries, 1u);
+  ASSERT_EQ(r.stats.recovery_log.size(), 1u);
   EXPECT_EQ(r.stats.recovery_log[0].kind, "rollback");
-  EXPECT_FALSE(r.degraded);
   EXPECT_EQ(r.apsp, clean.apsp);
 }
 
 TEST(Ladder, SpentBudgetFallsThroughToTheNextRung) {
-  // Rollback may serve exactly one recovery; the second death falls
-  // through to degrade even though snapshots are available.
+  // Adoption may serve exactly one recovery; the second death falls
+  // through to rollback. Both keep the answer exact.
   const Graph g = make_er(90, 270, 43, WeightRange{1, 3});
   const EventSchedule sched = matrix_schedule(g, 47);
   EngineConfig cfg = matrix_cfg(4);
+  cfg.gather_apsp = true;
 
-  AnytimeEngine probe_engine(g, cfg);
-  const RunResult probe = probe_engine.run(sched);
-  ASSERT_GE(probe.stats.rc_steps, 5u);
+  AnytimeEngine clean_engine(g, cfg);
+  const RunResult clean = clean_engine.run(sched);
+  ASSERT_GE(clean.stats.rc_steps, 5u);
 
   EngineConfig ccfg = cfg;
   ccfg.checkpoint_every = 2;
-  ccfg.recovery_policy = {{RecoveryPolicy::kRollback, 1},
-                          {RecoveryPolicy::kDegrade, 0}};
+  ccfg.recovery_policy = {{RecoveryPolicy::kAdopt, 1},
+                          {RecoveryPolicy::kRollback, 0}};
   ccfg.faults.crashes.push_back({1, 2});
   ccfg.faults.crashes.push_back({2, 4});
 
@@ -299,18 +305,17 @@ TEST(Ladder, SpentBudgetFallsThroughToTheNextRung) {
   const RunResult r = engine.run(sched);
   EXPECT_EQ(r.stats.recoveries, 2u);
   ASSERT_EQ(r.stats.recovery_log.size(), 2u);
-  EXPECT_EQ(r.stats.recovery_log[0].kind, "rollback");
-  EXPECT_EQ(r.stats.recovery_log[1].kind, "degraded");
-  EXPECT_TRUE(r.degraded);
-  EXPECT_EQ(r.lost_vertices, lost_of(engine.graph(), r, 2));
+  EXPECT_EQ(r.stats.recovery_log[0].kind, "adopt");
+  EXPECT_EQ(r.stats.recovery_log[1].kind, "rollback");
+  EXPECT_EQ(r.apsp, clean.apsp);
 }
 
 TEST(Ladder, ExhaustedLadderRethrowsTheLastPreconditionFailure) {
-  // A single-rung adopt ladder with no periodic snapshots configured: the
-  // rung's precondition failure surfaces as RecoveryError.
+  // A single-rung adopt ladder under eager edge adds, which adoption does
+  // not support: the rung's precondition failure surfaces as RecoveryError.
   const Graph g = make_er(70, 210, 53, WeightRange{1, 3});
   EngineConfig cfg = matrix_cfg(3);
-  cfg.checkpoint_every = 0;
+  cfg.add_mode = EdgeAddMode::kEager;
   cfg.recovery_policy = {{RecoveryPolicy::kAdopt, 0}};
   cfg.faults.crashes.push_back({1, 1});
 
@@ -318,26 +323,27 @@ TEST(Ladder, ExhaustedLadderRethrowsTheLastPreconditionFailure) {
   EXPECT_THROW((void)engine.run(), RecoveryError);
 }
 
-TEST(Ladder, DefaultLadderReproducesTheLegacyOrder) {
-  // Default recovery_policy = {rollback, degrade}: with snapshots it rolls
-  // back; without, it degrades — exactly the pre-ladder behavior.
+TEST(Ladder, DefaultLadderIsRollback) {
+  // Default recovery_policy = {rollback}: with snapshots it replays from
+  // the newest common one; without, it restarts from scratch. Both are
+  // bit-identical to the fault-free run.
   const Graph g = make_er(80, 240, 59, WeightRange{1, 3});
-  EngineConfig with_ck = matrix_cfg(3);
-  with_ck.checkpoint_every = 2;
-  with_ck.faults.crashes.push_back({1, 3});
-  AnytimeEngine a(g, with_ck);
-  const RunResult ra = a.run();
-  ASSERT_EQ(ra.stats.recovery_log.size(), 1u);
-  EXPECT_EQ(ra.stats.recovery_log[0].kind, "rollback");
-  EXPECT_FALSE(ra.degraded);
+  EngineConfig cfg = matrix_cfg(3);
+  cfg.gather_apsp = true;
+  AnytimeEngine clean_engine(g, cfg);
+  const RunResult clean = clean_engine.run();
 
-  EngineConfig without_ck = matrix_cfg(3);
-  without_ck.faults.crashes.push_back({1, 3});
-  AnytimeEngine b(g, without_ck);
-  const RunResult rb = b.run();
-  ASSERT_EQ(rb.stats.recovery_log.size(), 1u);
-  EXPECT_EQ(rb.stats.recovery_log[0].kind, "degraded");
-  EXPECT_TRUE(rb.degraded);
+  for (const std::size_t every : {std::size_t{2}, std::size_t{0}}) {
+    EngineConfig ccfg = cfg;
+    ccfg.checkpoint_every = every;
+    ccfg.faults.crashes.push_back({1, 3});
+    AnytimeEngine engine(g, ccfg);
+    const RunResult r = engine.run();
+    ASSERT_EQ(r.stats.recovery_log.size(), 1u) << "every " << every;
+    EXPECT_EQ(r.stats.recovery_log[0].kind, "rollback") << "every " << every;
+    EXPECT_EQ(r.apsp, clean.apsp) << "every " << every;
+    EXPECT_EQ(r.closeness, clean.closeness) << "every " << every;
+  }
 }
 
 TEST(RecoveryLog, SerializesIntoTheStatsJson) {

@@ -1,14 +1,13 @@
 // Chaos harness for the fault-injected runtime (docs/FAULTS.md): message
-// faults must not change a single bit of the result, an injected crash with
-// periodic checkpoints must recover to the fault-free answer, and a crash
-// without checkpoints must complete degraded with an exact coverage report.
+// faults must not change a single bit of the result, and an injected crash
+// must recover to the fault-free answer — from the newest periodic
+// snapshot, or from scratch when there is none.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
+#include <string>
 #include <tuple>
 
-#include "analysis/shortest_paths.hpp"
 #include "test_util.hpp"
 
 namespace aacc {
@@ -87,7 +86,6 @@ TEST(ChaosFuzz, MessageFaultsNeverChangeTheResult) {
     const RunResult chaotic = engine.run(sched);
 
     EXPECT_EQ(chaotic.stats.rc_steps, clean.stats.rc_steps) << "seed " << seed;
-    EXPECT_FALSE(chaotic.degraded);
     ASSERT_EQ(chaotic.closeness.size(), clean.closeness.size());
     for (VertexId v = 0; v < clean.closeness.size(); ++v) {
       ASSERT_EQ(chaotic.closeness[v], clean.closeness[v])
@@ -107,7 +105,6 @@ TEST(ChaosFuzz, FaultFreeRunPaysNothingForTheMachinery) {
   AnytimeEngine engine(g, cfg);
   const RunResult r = engine.run(sched);
   EXPECT_EQ(r.stats.recoveries, 0u);
-  EXPECT_FALSE(r.degraded);
   expect_apsp_exact(engine.graph(), r);
 }
 
@@ -134,8 +131,6 @@ TEST(Recovery, CrashWithPeriodicCheckpointsIsBitIdentical) {
   const RunResult recovered = engine.run(sched);
 
   EXPECT_EQ(recovered.stats.recoveries, 1u);
-  EXPECT_FALSE(recovered.degraded);
-  EXPECT_TRUE(recovered.lost_vertices.empty());
   ASSERT_EQ(recovered.closeness.size(), clean.closeness.size());
   for (VertexId v = 0; v < clean.closeness.size(); ++v) {
     ASSERT_EQ(recovered.closeness[v], clean.closeness[v]) << "vertex " << v;
@@ -239,7 +234,7 @@ TEST(Recovery, RepeatedCrashesWithinTheBudget) {
 TEST(Recovery, BudgetExhaustionSurfacesTheRootCause) {
   const Graph g = make_ba(80, 2, 29);
   EngineConfig cfg = base_cfg(3);
-  cfg.checkpoint_every = 0;  // degraded path would fire, but...
+  cfg.checkpoint_every = 0;  // rollback from scratch would serve, but...
   cfg.max_recoveries = 0;    // ...the budget forbids any relaunch
   cfg.faults.crashes.push_back({1, 1});
 
@@ -247,86 +242,42 @@ TEST(Recovery, BudgetExhaustionSurfacesTheRootCause) {
   EXPECT_THROW((void)engine.run(), rt::InjectedCrash);
 }
 
-// ------------------------------------------------------ degraded fallback
+// ------------------------------------------- no snapshots: from scratch
 
-TEST(Degraded, ReportsTheExactCoverageGapAndFinishes) {
-  // No recovery checkpoints: rank 2's rows are lost for good. The run must
-  // still terminate (no hang, no crash), flag itself degraded, and list
-  // exactly the alive vertices whose closeness is unknown.
-  const Graph g = make_er(120, 360, 37, WeightRange{1, 3});
-  const EventSchedule sched = mixed_schedule(g, 61);
-  const EngineConfig cfg = base_cfg(4);
+TEST(Recovery, WithoutSnapshotsTheDefaultLadderRestartsFromScratch) {
+  // checkpoint_every = 0 and the default ladder {rollback}: a death restarts
+  // the whole run from scratch, which replays deterministically to the
+  // fault-free answer. Covers a mid-run death under a mutation schedule and
+  // the death of rank 0 (the feed broadcaster and progress emitter) on a
+  // static run.
+  struct Case {
+    Graph g;
+    EventSchedule sched;
+    Rank ranks;
+    rt::CrashPoint crash;
+  };
+  const Graph er = make_er(120, 360, 37, WeightRange{1, 3});
+  const Case cases[] = {
+      {er, mixed_schedule(er, 61), 4, {2, 2}},
+      {make_ba(100, 2, 43), {}, 3, {0, 1}},
+  };
+  for (const Case& c : cases) {
+    const EngineConfig cfg = base_cfg(c.ranks);
+    AnytimeEngine clean_engine(c.g, cfg);
+    const RunResult clean = clean_engine.run(c.sched);
 
-  AnytimeEngine clean_engine(g, cfg);
-  const RunResult clean = clean_engine.run(sched);
-
-  EngineConfig chaos_cfg = cfg;
-  chaos_cfg.checkpoint_every = 0;
-  chaos_cfg.faults.crashes.push_back({2, 2});
-
-  AnytimeEngine engine(g, chaos_cfg);
-  const RunResult degraded = engine.run(sched);
-
-  EXPECT_TRUE(degraded.degraded);
-  EXPECT_EQ(degraded.stats.recoveries, 1u);
-
-  // The coverage gap is exactly the final ownership of the dead rank.
-  std::vector<VertexId> expected;
-  for (VertexId v = 0; v < degraded.final_owner.size(); ++v) {
-    if (degraded.final_owner[v] == 2 && engine.graph().is_alive(v)) {
-      expected.push_back(v);
-    }
-  }
-  ASSERT_FALSE(expected.empty());
-  EXPECT_EQ(degraded.lost_vertices, expected);
-  for (const VertexId v : degraded.lost_vertices) {
-    EXPECT_EQ(degraded.closeness[v], 0.0);
-  }
-
-  // Survivors hold sound DVR state: distances are upper bounds of the true
-  // ones (routes through the dead rank's territory may be lost, never
-  // underestimated), so harmonic centrality is a lower bound.
-  const auto ref = apsp_reference(engine.graph());
-  std::size_t exact_entries = 0;
-  for (VertexId u = 0; u < degraded.final_owner.size(); ++u) {
-    if (degraded.final_owner[u] == 2) continue;
-    for (VertexId v = 0; v < ref.size(); ++v) {
-      if (u == v) continue;
-      EXPECT_GE(degraded.apsp[u][v], ref[u][v])
-          << "underestimate at (" << u << ',' << v << ')';
-      exact_entries += degraded.apsp[u][v] == ref[u][v] ? 1 : 0;
-    }
-    EXPECT_LE(degraded.harmonic[u], clean.harmonic[u] + 1e-12);
-  }
-  // The anytime property: much of the surviving state still converges
-  // exactly (a whole row is only exact when none of its shortest paths
-  // route through the dead rank's territory, which is rare on dense ER).
-  EXPECT_GT(exact_entries, ref.size());
-}
-
-TEST(Degraded, StaticRunLosesOnlyTheDeadRanksRows) {
-  const Graph g = make_ba(100, 2, 43);
-  EngineConfig cfg = base_cfg(3);
-  cfg.faults.crashes.push_back({0, 1});  // rank 0 dies (also the broadcaster)
-
-  AnytimeEngine engine(g, cfg);
-  const RunResult r = engine.run();
-  EXPECT_TRUE(r.degraded);
-  ASSERT_FALSE(r.lost_vertices.empty());
-  for (const VertexId v : r.lost_vertices) {
-    EXPECT_EQ(r.final_owner[v], 0);
-    EXPECT_EQ(r.closeness[v], 0.0);
-  }
-  // Survivor rows are intact and exact: the crash fired at a step
-  // boundary, so no survivor state was torn.
-  const auto ref = apsp_reference(engine.graph());
-  for (VertexId u = 0; u < r.final_owner.size(); ++u) {
-    if (r.final_owner[u] == 0) continue;
-    for (VertexId v = 0; v < ref.size(); ++v) {
-      if (u != v) {
-        EXPECT_GE(r.apsp[u][v], ref[u][v]);
-      }
-    }
+    EngineConfig chaos_cfg = cfg;
+    chaos_cfg.faults.crashes.push_back(c.crash);
+    AnytimeEngine engine(c.g, chaos_cfg);
+    const RunResult r = engine.run(c.sched);
+    const std::string ctx = "rank " + std::to_string(c.crash.rank) +
+                            " at step " + std::to_string(c.crash.at_step);
+    EXPECT_EQ(r.stats.recoveries, 1u) << ctx;
+    ASSERT_EQ(r.stats.recovery_log.size(), 1u) << ctx;
+    EXPECT_EQ(r.stats.recovery_log[0].kind, "rollback") << ctx;
+    EXPECT_EQ(r.closeness, clean.closeness) << ctx;
+    EXPECT_EQ(r.apsp, clean.apsp) << ctx;
+    EXPECT_EQ(r.final_owner, clean.final_owner) << ctx;
   }
 }
 

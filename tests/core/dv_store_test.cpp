@@ -538,9 +538,9 @@ TEST(TieredEquivalence, CheckpointBlobsAreResidencyOblivious) {
 }
 
 TEST(TieredEquivalence, ChaosRecoveryAndAdoption) {
-  // Crash a rank mid-run under the adopt rung: survivors deserialize and
-  // re-shard the dead rank's rows. Tiered stores must adopt into cold form
-  // budgets and still converge to the oracle's bits.
+  // Crash a rank mid-run under the adopt rung: survivors restore their
+  // stash and re-shard the dead rank's rows. Tiered stores must adopt under
+  // cold-form budgets and still converge to the oracle's bits.
   const Graph g = make_er(100, 300, 59, WeightRange{1, 4});
   const EventSchedule sched = dynamic_schedule(g, 61);
 

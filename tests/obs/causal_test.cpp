@@ -400,14 +400,14 @@ TEST(CausalRecovery, AdoptionRehomesTheDeadRanksFlows) {
   // answers for its shards), leaving nothing dangling.
   const Graph g = make_er(130, 390, 23, WeightRange{1, 3});
   EngineConfig cfg = traced_cfg(4);
-  cfg.checkpoint_every = 2;  // adoption splits shards out of these snapshots
   cfg.recovery_policy = {{RecoveryPolicy::kAdopt, 0}};
   cfg.transport.retry_backoff = std::chrono::microseconds(1);
   cfg.faults.crashes.push_back({2, 2});
   AnytimeEngine engine(g, cfg);
   const RunResult r = engine.run(small_schedule(g));
   ASSERT_EQ(r.stats.recoveries, 1u);
-  EXPECT_FALSE(r.degraded);
+  ASSERT_EQ(r.stats.recovery_log.size(), 1u);
+  EXPECT_EQ(r.stats.recovery_log[0].kind, "adopt");
 
   const obs::CausalAnalysis a = obs::analyze_causal(r.trace);
   EXPECT_GT(a.matched_edges, 0u);

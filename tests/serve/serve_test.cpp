@@ -142,7 +142,7 @@ TEST(ServeQueries, PostCloseAnswersAreTheExactFinalState) {
   }
   EXPECT_EQ(top.meta.age_steps, 0u);
   EXPECT_FALSE(top.meta.stale);
-  EXPECT_FALSE(top.meta.degraded);
+  EXPECT_FALSE(top.meta.adopted);
 
   // Point and rank-of agree with the result too.
   const auto p = view.point(expect[0]);
@@ -300,7 +300,7 @@ TEST(ServeStaleness, AgeAndStaleFlagFollowTheConfiguredLag) {
   EXPECT_EQ(ctx->stale_responses.load(), 1u);
   EXPECT_EQ(ctx->queries.load(), 2u);
 
-  // Degraded/adopted provenance flows through from the snapshot.
+  // Adopted provenance flows through from the snapshot.
   auto flagged = std::make_shared<SnapshotData>();
   flagged->step = 9;
   flagged->epoch = 2;
@@ -308,11 +308,9 @@ TEST(ServeStaleness, AgeAndStaleFlagFollowTheConfiguredLag) {
   flagged->closeness = {0.1};
   flagged->harmonic = {0.2};
   flagged->by_closeness = {0};
-  flagged->degraded = true;
   flagged->adopted = true;
   ctx->snapshots[0].publish(std::move(flagged));
   p = view.point(0);
-  EXPECT_TRUE(p.meta.degraded);
   EXPECT_TRUE(p.meta.adopted);
   EXPECT_EQ(p.meta.age_steps, 0u);
 }
@@ -333,15 +331,45 @@ TEST(ServeRecovery, RollbackRecoveryMatchesFaultFreeFinalValues) {
   for (auto& events : batches_of(sched)) session.ingest(std::move(events));
   const RunResult live = session.close();
   EXPECT_EQ(live.stats.recoveries, 1u);
-  EXPECT_FALSE(live.degraded);
   ASSERT_EQ(clean.closeness.size(), live.closeness.size());
   for (VertexId v = 0; v < clean.closeness.size(); ++v) {
     EXPECT_EQ(clean.closeness[v], live.closeness[v]) << "vertex " << v;
   }
-  // Post-rollback snapshots shed the degraded/adopted provenance.
+  // Post-rollback snapshots carry no adopted provenance.
   const auto p = session.view().point(0);
-  EXPECT_FALSE(p.meta.degraded);
   EXPECT_FALSE(p.meta.adopted);
+}
+
+TEST(ServeRecovery, AdoptionWithoutSnapshotsMatchesFaultFreeFinalValues) {
+  // A mid-stream death under ladder {adopt} with no periodic snapshots:
+  // the driver rebuilds the graph at the survivors' cursor from the feed
+  // journal, the survivors adopt the dead shard, and the session closes to
+  // the fault-free closeness with adopted provenance on its answers.
+  const Graph g = make_er(100, 300, 63, WeightRange{1, 3});
+  const EventSchedule sched = mixed_schedule(g, 8);
+  EngineConfig cfg;
+  cfg.num_ranks = 4;
+  const RunResult clean = AnytimeEngine(g, cfg).run(sched);
+
+  EngineConfig chaos_cfg = cfg;
+  chaos_cfg.checkpoint_every = 0;
+  chaos_cfg.recovery_policy = {{RecoveryPolicy::kAdopt, 0}};
+  chaos_cfg.faults.crashes.push_back({1, 3});
+  EngineSession session(g, chaos_cfg);
+  for (auto& events : batches_of(sched)) session.ingest(std::move(events));
+  const RunResult live = session.close();
+  EXPECT_EQ(live.stats.recoveries, 1u);
+  ASSERT_EQ(live.stats.recovery_log.size(), 1u);
+  EXPECT_EQ(live.stats.recovery_log[0].kind, "adopt");
+  ASSERT_EQ(clean.closeness.size(), live.closeness.size());
+  for (VertexId v = 0; v < clean.closeness.size(); ++v) {
+    EXPECT_EQ(clean.closeness[v], live.closeness[v]) << "vertex " << v;
+  }
+  for (VertexId v = 0; v < live.final_owner.size(); ++v) {
+    ASSERT_NE(live.final_owner[v], 1) << "vertex " << v;
+  }
+  const auto p = session.view().point(0);
+  EXPECT_TRUE(p.meta.adopted);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -116,8 +117,10 @@ int usage() {
                "\n"
                "LADDER is a comma list of recovery rungs tried in order when\n"
                "a rank dies (docs/FAULTS.md §Recovery policy ladder), each\n"
-               "adopt|rollback|degrade with an optional :budget (uses per\n"
-               "run, 0 = unlimited), e.g. adopt:2,rollback,degrade.\n"
+               "adopt|rollback with an optional :budget of decimal digits\n"
+               "(uses per run, 0 = unlimited), e.g. adopt:2,rollback. The\n"
+               "default is rollback: from the newest --checkpoint-every\n"
+               "snapshot, or from scratch without one.\n"
                "\n"
                "--dv-budget caps per-rank dense DV memory: rows over the\n"
                "budget are demoted to a delta-compressed cold form (results\n"
@@ -128,9 +131,22 @@ int usage() {
   return 2;
 }
 
-/// Parses `--recovery-policy adopt:2,rollback,degrade` into config rungs.
-/// Throws std::runtime_error on an unknown rung name or malformed budget;
-/// EngineConfig::validate() later rejects empty or repeated ladders.
+/// Parses a nonnegative decimal count. from_chars on an unsigned type takes
+/// digits only: no sign, no space, no suffix, and an out-of-range value
+/// fails instead of wrapping. Throws ConfigError opening with `what`.
+std::size_t parse_count(const std::string& text, const std::string& what) {
+  std::size_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) {
+    throw ConfigError(what + " '" + text + "' (want decimal digits)");
+  }
+  return value;
+}
+
+/// Parses `--recovery-policy adopt:2,rollback` into config rungs. Throws
+/// ConfigError on an unknown or removed rung name and on a malformed
+/// budget; EngineConfig::validate() later rejects repeated rungs.
 void apply_recovery_policy(const std::string& spec, EngineConfig& cfg) {
   cfg.recovery_policy.clear();
   std::size_t pos = 0;
@@ -140,15 +156,23 @@ void apply_recovery_policy(const std::string& spec, EngineConfig& cfg) {
     pos = comma + 1;
     std::size_t budget = 0;
     if (const std::size_t colon = rung.find(':'); colon != std::string::npos) {
-      budget = static_cast<std::size_t>(std::stoul(rung.substr(colon + 1)));
+      budget = parse_count(rung.substr(colon + 1),
+                           "--recovery-policy: malformed budget");
       rung.resize(colon);
     }
     RecoveryPolicy policy;
-    if (rung == "adopt") policy = RecoveryPolicy::kAdopt;
-    else if (rung == "rollback") policy = RecoveryPolicy::kRollback;
-    else if (rung == "degrade" || rung == "degraded") policy = RecoveryPolicy::kDegrade;
-    else throw std::runtime_error("unknown recovery rung '" + rung +
-                                  "' (want adopt|rollback|degrade)");
+    if (rung == "adopt") {
+      policy = RecoveryPolicy::kAdopt;
+    } else if (rung == "rollback") {
+      policy = RecoveryPolicy::kRollback;
+    } else if (rung == "degrade" || rung == "degraded") {
+      throw ConfigError(
+          "--recovery-policy: degraded mode was removed; use rollback "
+          "(exact: it restarts from scratch when no snapshot exists)");
+    } else {
+      throw ConfigError("--recovery-policy: unknown recovery rung '" + rung +
+                        "' (want adopt|rollback)");
+    }
     cfg.recovery_policy.push_back({policy, budget});
   }
 }
@@ -197,8 +221,8 @@ void apply_recovery_flags(const Args& args, EngineConfig& cfg) {
     apply_recovery_policy(args.get("recovery-policy", ""), cfg);
   }
   if (args.has("checkpoint-every")) {
-    cfg.checkpoint_every =
-        static_cast<std::size_t>(args.get_int("checkpoint-every", 0));
+    cfg.checkpoint_every = parse_count(args.get("checkpoint-every", ""),
+                                       "--checkpoint-every: malformed count");
   }
 }
 
@@ -302,9 +326,9 @@ int cmd_run(const Args& args) {
 
 /// One-line staleness contract suffix shared by every serve answer.
 void print_meta(const serve::ResponseMeta& m) {
-  std::printf("  [step %zu/%zu age %zu%s%s%s", m.step, m.engine_step,
+  std::printf("  [step %zu/%zu age %zu%s%s", m.step, m.engine_step,
               m.age_steps, m.stale ? " STALE" : "",
-              m.degraded ? " degraded" : "", m.adopted ? " adopted" : "");
+              m.adopted ? " adopted" : "");
   if (m.has_estimators) {
     std::printf("  overlap %.3f tau %+.3f", m.topk_overlap, m.kendall_tau);
   }
